@@ -24,7 +24,7 @@ from . import sync as sync_mod
 from . import synth as synth_mod
 from .errors import EvflowError, MissingInput
 from .events import decode_stream, encode_stream
-from .geometry import load_calibration, transfer_bbox
+from .geometry import load_calibration, transfer_tracks
 from .pipeline import PipelineConfig, run_pipeline
 
 
@@ -107,20 +107,7 @@ def _cmd_sync(args) -> int:
 
 def _cmd_transfer_labels(args) -> int:
     pair = load_calibration(open(args.calib).read())
-    tracks = labels_mod.load_labels_csv(args.labels)
-    out_tracks = []
-    skipped = 0
-    for t in tracks:
-        kfs = []
-        for kf in t.keyframes:
-            try:
-                moved = transfer_bbox(kf.box, pair)
-            except EvflowError:
-                skipped += 1
-                continue
-            kfs.append(labels_mod.Keyframe(kf.frame_idx, moved.box))
-        if kfs:
-            out_tracks.append(labels_mod.Track(t.track_id, tuple(kfs)))
+    out_tracks, skipped = transfer_tracks(labels_mod.load_labels_csv(args.labels), pair)
     labels_mod.write_labels_csv(out_tracks, args.out)
     if skipped:
         print(f"skipped {skipped} box(es) falling off the event sensor", file=sys.stderr)
@@ -184,6 +171,7 @@ def _cmd_run(args) -> int:
         "throughput_fps": result.metrics.throughput_fps,
         "stage_latency_ms": result.metrics.stage_latency_ms,
         "n_detections": len(result.detections),
+        "labels_skipped": result.labels_skipped,
     }
     if result.eval_report is not None:
         doc["eval"] = result.eval_report.to_dict()

@@ -65,8 +65,6 @@ def pipeline_from_config(values: Dict[str, str]) -> PipelineConfig:
             cfg.downscale_to = (int(w), int(h))
         if "queue_capacity" in values:
             cfg.queue_capacity = int(values["queue_capacity"])
-        if "drop_policy" in values:
-            cfg.drop_policy = values["drop_policy"]
         if "stub_min_area" in values:
             cfg.stub_min_area = int(values["stub_min_area"])
         if "stub_activity_thresh" in values:

@@ -29,19 +29,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
     BehindCamera,
+    EvflowError,
     MissingField,
     NoConvergence,
     NonOrthonormalRotation,
     OffSensor,
 )
 from .events import SensorGeometry
-from .labels import BBox
+from .labels import BBox, Keyframe, Track
 
 UNDISTORT_TOL = 1e-6
 UNDISTORT_MAX_ITER = 20
@@ -274,6 +275,27 @@ def transfer_bbox(b: BBox, pair: CameraPair) -> TransferredBox:
     clipped = (cx0, cx1, cy0, cy1) != (x0, x1, y0, y1)
     box = BBox(cx0, cy0, cx1 - cx0, cy1 - cy0)
     return TransferredBox(box, clipped, box.area == 0.0)
+
+
+def transfer_tracks(tracks: Sequence[Track], pair: CameraPair) -> Tuple[List[Track], int]:
+    """Move every keyframe box into the event view with transfer_bbox.
+
+    A box that cannot be transferred (off the sensor, behind the camera,
+    no convergence) is skipped; a track left with no keyframe is dropped.
+    Returns the moved tracks and the number of skipped boxes.
+    """
+    out: List[Track] = []
+    skipped = 0
+    for t in tracks:
+        kfs = []
+        for kf in t.keyframes:
+            try:
+                kfs.append(Keyframe(kf.frame_idx, transfer_bbox(kf.box, pair).box))
+            except EvflowError:
+                skipped += 1
+        if kfs:
+            out.append(Track(t.track_id, tuple(kfs)))
+    return out, skipped
 
 
 def nearest_rotation(r: np.ndarray) -> np.ndarray:

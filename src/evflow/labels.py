@@ -164,17 +164,24 @@ def match_detections(
     tp = [False] * len(dets)
     taken = [False] * len(gts)
     for i in order:
-        best_j, best_iou = -1, 0.0
-        for j, g in enumerate(gts):
-            if taken[j]:
-                continue
-            v = iou(dets[i].box, g)
-            if v > best_iou:
-                best_j, best_iou = j, v
-        if best_j >= 0 and best_iou >= iou_thresh:
-            tp[i] = True
-            taken[best_j] = True
+        tp[i] = _claim(dets[i].box, gts, taken, iou_thresh)
     return MatchResult(tp, taken)
+
+
+def _claim(box: BBox, gts: Sequence[BBox], taken: List[bool], iou_thresh: float) -> bool:
+    """One greedy step: box takes the untaken ground truth of highest IoU if
+    that IoU reaches iou_thresh. Returns whether it matched."""
+    best_j, best_iou = -1, 0.0
+    for j, g in enumerate(gts):
+        if taken[j]:
+            continue
+        v = iou(box, g)
+        if v > best_iou:
+            best_j, best_iou = j, v
+    if best_j >= 0 and best_iou >= iou_thresh:
+        taken[best_j] = True
+        return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -202,26 +209,18 @@ def _match_all(
     all_gts: Mapping[int, Sequence[BBox]],
     iou_thresh: float,
 ) -> Tuple[List[bool], int]:
-    """Global confidence-ranked TP flags across frames; returns (flags, n_gt)."""
+    """Global confidence-ranked TP flags across frames; returns (flags, n_gt).
+
+    A detection competes only for ground truth in its own frame, so this is
+    match_detections' greedy pass with one taken-list per frame.
+    """
     n_gt = sum(len(v) for v in all_gts.values())
     order = sorted(range(len(all_dets)), key=lambda i: -all_dets[i].confidence)
     taken: Dict[int, List[bool]] = {f: [False] * len(v) for f, v in all_gts.items()}
     flags = []
     for i in order:
-        d = all_dets[i]
-        gts = all_gts.get(d.frame_idx, ())
-        marks = taken.get(d.frame_idx, [])
-        best_j, best_iou = -1, 0.0
-        for j, g in enumerate(gts):
-            if marks[j]:
-                continue
-            v = iou(d.box, g)
-            if v > best_iou:
-                best_j, best_iou = j, v
-        ok = best_j >= 0 and best_iou >= iou_thresh
-        if ok:
-            marks[best_j] = True
-        flags.append(ok)
+        f = all_dets[i].frame_idx
+        flags.append(_claim(all_dets[i].box, all_gts.get(f, ()), taken.get(f, []), iou_thresh))
     return flags, n_gt
 
 

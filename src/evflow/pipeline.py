@@ -1,12 +1,14 @@
-"""Accumulate -> detect pipeline with a bounded hand-off queue.
+"""Accumulate -> detect pipeline with blocking backpressure.
 
 One producer turns the event stream into polarity frames window by
-window; one consumer gathers batches and runs the detector. The queue
-between them is bounded: when the producer gets ahead by more than
-queue_capacity frames, the oldest queued frame is dropped and counted
-(newest evidence wins under real-time pressure). Setting EVFLOW_THREADS=1
-(or threads=1) runs both stages sequentially in one thread; detection
-output is identical either way, only the timing metrics differ.
+window; one consumer gathers batches and runs the detector. By default
+the producer runs in a worker thread and hands frames over through a
+bounded queue; when the queue is full the producer waits for the
+detector. The pipeline is therefore lossless: every window is inferred,
+and queue_capacity bounds only the frames held in memory, never the
+output. Setting EVFLOW_THREADS=1 (or threads=1) runs both stages in one
+thread; detections are identical for any thread count, batch size and
+capacity, only the timing metrics differ.
 
 The stub detector stands in for a learned model: it thresholds the
 activity grid, labels 4-connected components, and emits one detection per
@@ -18,11 +20,12 @@ through the same evaluation path.
 from __future__ import annotations
 
 import os
+import queue
 import threading
 import time
-from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -30,13 +33,16 @@ from scipy import ndimage
 from .errors import ConfigInvalid
 from .events import EventStream
 from .frames import PolarityFrame, accumulate, activity, downscale, frame_sequence
-from .geometry import CameraPair, transfer_bbox
+from .geometry import CameraPair, transfer_tracks
 from .labels import BBox, Detection, EvalReport, Track, densify_tracks, evaluate_detections, load_detections_csv
 
 STUB_DETECTOR = "stub"
 ENV_THREADS = "EVFLOW_THREADS"
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+# how often a producer blocked on a full queue checks whether the consumer has gone
+_PUT_POLL_S = 0.05
+_END = object()  # end of stream on the hand-off queue
 
 DetectorFn = Callable[[Sequence[PolarityFrame]], List[List[Detection]]]
 
@@ -47,8 +53,9 @@ class PipelineConfig:
     batch_size: int = 1
     detector: str = STUB_DETECTOR             # "stub" or path to a detections CSV
     downscale_to: Optional[Tuple[int, int]] = None
-    queue_capacity: Optional[int] = None      # default 2 * batch_size
-    drop_policy: str = "drop_oldest"
+    # frames held between producer and detector, default 2 * batch_size;
+    # bounds memory only, since a full queue makes the producer wait
+    queue_capacity: Optional[int] = None
     stub_min_area: int = 8                    # pixels^2
     stub_activity_thresh: int = 1             # counts
 
@@ -60,8 +67,6 @@ class PipelineConfig:
             raise ConfigInvalid(f"batch_size must be >= 1, got {self.batch_size}")
         if cap < self.batch_size:
             raise ConfigInvalid(f"queue_capacity {cap} < batch_size {self.batch_size}")
-        if self.drop_policy != "drop_oldest":
-            raise ConfigInvalid(f"unsupported drop policy {self.drop_policy!r}")
         return cap
 
 
@@ -69,7 +74,7 @@ class PipelineConfig:
 class PipelineMetrics:
     frames_produced: int = 0
     frames_inferred: int = 0
-    frames_dropped: int = 0
+    frames_dropped: int = 0                   # always 0: the hand-off never drops
     stage_latency_ms: Dict[str, Dict[str, float]] = field(default_factory=dict)
     throughput_fps: float = 0.0
 
@@ -79,6 +84,7 @@ class PipelineResult:
     detections: List[Detection]
     metrics: PipelineMetrics
     eval_report: Optional[EvalReport] = None
+    labels_skipped: int = 0                   # ground-truth boxes that missed the event sensor
 
 
 def stub_detector(
@@ -129,40 +135,6 @@ def _replay_detector(path: str) -> DetectorFn:
     return detect
 
 
-class _DropOldestQueue:
-    """Bounded FIFO that drops the oldest entry instead of blocking the producer."""
-
-    def __init__(self, capacity: int):
-        self._items: deque = deque()
-        self._capacity = capacity
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
-        self._closed = False
-        self.dropped = 0
-
-    def put(self, item) -> None:
-        with self._ready:
-            if len(self._items) >= self._capacity:
-                self._items.popleft()
-                self.dropped += 1
-            self._items.append(item)
-            self._ready.notify()
-
-    def close(self) -> None:
-        with self._ready:
-            self._closed = True
-            self._ready.notify_all()
-
-    def get(self):
-        """Next frame, or None once closed and drained."""
-        with self._ready:
-            while not self._items and not self._closed:
-                self._ready.wait()
-            if self._items:
-                return self._items.popleft()
-            return None
-
-
 def _percentiles(samples: List[float]) -> Dict[str, float]:
     if not samples:
         return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
@@ -186,6 +158,46 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return threads
 
 
+def _handoff(frames: Iterator[PolarityFrame], capacity: int) -> Iterator[PolarityFrame]:
+    """Yield the frames of `frames`, computed ahead in a worker thread.
+
+    The worker hands frames over through a queue of `capacity` slots and
+    waits while it is full, so nothing is dropped. Closing this generator
+    stops and joins the worker; an error in the worker re-raises here.
+    """
+    slots: queue.Queue = queue.Queue(maxsize=capacity)
+    stop = threading.Event()
+    error: List[BaseException] = []
+
+    def put(item) -> bool:
+        while not stop.is_set():
+            try:
+                slots.put(item, timeout=_PUT_POLL_S)
+                return True
+            except queue.Full:
+                pass
+        return False
+
+    def produce() -> None:
+        try:
+            for frame in frames:
+                if not put(frame):
+                    return
+        except BaseException as exc:  # surface in the consumer, don't hang it
+            error.append(exc)
+        put(_END)
+
+    worker = threading.Thread(target=produce, name="evflow-accumulate")
+    worker.start()
+    try:
+        yield from iter(slots.get, _END)
+    finally:
+        stop.set()
+        worker.join()
+    if error:
+        raise error[0]
+
+
 def run_pipeline(
     events: EventStream,
     cfg: PipelineConfig,
@@ -197,8 +209,10 @@ def run_pipeline(
     """Run accumulate -> batch -> detect over a whole stream.
 
     calib, when given, maps ground-truth tracks from the RGB view into the
-    event view before scoring. gts, when given, adds an average-precision
-    report at IoU 0.5. detector_fn overrides the configured detector
+    event view before scoring; boxes that miss the event sensor are
+    skipped and counted. gts, when given, adds an average-precision report
+    at IoU 0.5, scored in the detector's frame (downscaled when
+    downscale_to is set). detector_fn overrides the configured detector
     (test hook).
     """
     capacity = cfg.validated_capacity()
@@ -210,20 +224,20 @@ def run_pipeline(
     else:
         detect = _replay_detector(cfg.detector)
 
-    windows = _window_indices(events, cfg.integration_window)
     metrics = PipelineMetrics()
     acc_ms: List[float] = []
     det_ms: List[float] = []
     detections: List[Detection] = []
     t_begin = time.perf_counter()
 
-    def produce_one(k: int) -> PolarityFrame:
-        t0 = time.perf_counter()
-        frame = accumulate(events, k * cfg.integration_window, cfg.integration_window)
-        if cfg.downscale_to is not None:
-            frame = downscale(frame, *cfg.downscale_to)
-        acc_ms.append((time.perf_counter() - t0) * 1e3)
-        return frame
+    def produce() -> Iterator[PolarityFrame]:
+        for k in _window_indices(events, cfg.integration_window):
+            t0 = time.perf_counter()
+            frame = accumulate(events, k * cfg.integration_window, cfg.integration_window)
+            if cfg.downscale_to is not None:
+                frame = downscale(frame, *cfg.downscale_to)
+            acc_ms.append((time.perf_counter() - t0) * 1e3)
+            yield frame
 
     def consume_batch(batch: List[PolarityFrame]) -> None:
         t0 = time.perf_counter()
@@ -233,47 +247,17 @@ def run_pipeline(
         for dets in per_frame:
             detections.extend(dets)
 
-    if threads == 1:
+    frames = produce() if threads == 1 else _handoff(produce(), capacity)
+    with closing(frames):
         batch: List[PolarityFrame] = []
-        for k in windows:
-            batch.append(produce_one(k))
+        for frame in frames:
             metrics.frames_produced += 1
-            if len(batch) == cfg.batch_size:
-                consume_batch(batch)
-                batch = []
-        if batch:
-            consume_batch(batch)
-    else:
-        queue = _DropOldestQueue(capacity)
-        producer_error: List[BaseException] = []
-
-        def producer() -> None:
-            try:
-                for k in windows:
-                    queue.put(produce_one(k))
-                    metrics.frames_produced += 1
-            except BaseException as exc:  # surface in the caller, don't hang it
-                producer_error.append(exc)
-            finally:
-                queue.close()
-
-        worker = threading.Thread(target=producer, name="evflow-accumulate")
-        worker.start()
-        batch = []
-        while True:
-            frame = queue.get()
-            if frame is None:
-                break
             batch.append(frame)
             if len(batch) == cfg.batch_size:
                 consume_batch(batch)
                 batch = []
         if batch:
             consume_batch(batch)
-        worker.join()
-        if producer_error:
-            raise producer_error[0]
-        metrics.frames_dropped = queue.dropped
 
     wall = time.perf_counter() - t_begin
     metrics.stage_latency_ms = {
@@ -283,28 +267,27 @@ def run_pipeline(
     metrics.throughput_fps = metrics.frames_inferred / wall if wall > 0 else 0.0
 
     report = None
+    skipped = 0
     if gts:
         tracks = list(gts)
         if calib is not None:
-            tracks = [_transfer_track(t, calib) for t in tracks]
+            tracks, skipped = transfer_tracks(tracks, calib)
         gt_boxes = densify_tracks(tracks)
+        if cfg.downscale_to is not None:  # score in the detector's frame
+            sx = cfg.downscale_to[0] / events.geometry.width
+            sy = cfg.downscale_to[1] / events.geometry.height
+            gt_boxes = {
+                f: [BBox(b.x * sx, b.y * sy, b.w * sx, b.h * sy) for b in bs]
+                for f, bs in gt_boxes.items()
+            }
         report = evaluate_detections(detections, gt_boxes, iou_thresh=0.5)
-    return PipelineResult(detections, metrics, report)
+    return PipelineResult(detections, metrics, report, skipped)
 
 
 def _window_indices(events: EventStream, window: int) -> List[int]:
     if len(events) == 0:
         return []
     return list(range(int(events.t[0] // window), int(events.t[-1] // window) + 1))
-
-
-def _transfer_track(track: Track, calib: CameraPair) -> Track:
-    from .labels import Keyframe
-
-    kfs = [
-        Keyframe(kf.frame_idx, transfer_bbox(kf.box, calib).box) for kf in track.keyframes
-    ]
-    return Track(track.track_id, tuple(kfs))
 
 
 def offline_detections(

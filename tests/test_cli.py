@@ -188,6 +188,24 @@ def test_run_full_pipeline_report(tmp_path, capsys):
     assert dets_out.exists()
 
 
+def test_run_default_capacity_drops_nothing(tmp_path, capsys):
+    cfg = write_traj_cfg(tmp_path, 999_990e-6)  # exactly 30 windows
+    ev = tmp_path / "rec.evb1"
+    truth = tmp_path / "truth.csv"
+    assert main(["synth", "--config", cfg, "--out", str(ev), "--truth", str(truth)]) == 0
+    capsys.readouterr()
+    pipe_cfg = tmp_path / "pipe.cfg"
+    pipe_cfg.write_text("batch_size = 4\nstub_min_area = 20\n")  # default queue_capacity
+    code, out, _ = run_cli(capsys, "run", "--events", str(ev), "--config", str(pipe_cfg),
+                           "--truth", str(truth))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["frames_produced"] == doc["frames_inferred"] == 30
+    assert doc["frames_dropped"] == 0
+    assert doc["labels_skipped"] == 0
+    assert doc["eval"]["ap"] >= 0.9
+
+
 def test_data_error_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.evb1"
     bad.write_bytes(b"JUNKJUNKJUNK")

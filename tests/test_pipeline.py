@@ -1,13 +1,13 @@
-import os
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from evflow.errors import ConfigInvalid
+from evflow.errors import ConfigInvalid, UpscaleUnsupported
 from evflow.events import EventStream, SensorGeometry
 from evflow.frames import PolarityFrame, frame_sequence
-from evflow.labels import densify_tracks, evaluate_detections, interpolate_track, iou, write_detections_csv
+from evflow.labels import BBox, Keyframe, Track, interpolate_track, iou, write_detections_csv
 from evflow.pipeline import (
     PipelineConfig,
     offline_detections,
@@ -15,6 +15,7 @@ from evflow.pipeline import (
     stub_detector,
 )
 from evflow.synth import DiscTrajectory, generate_disc_events, ground_truth_boxes
+from test_geometry import identity_pair
 
 GEOM = SensorGeometry(640, 480)
 WINDOW = 33_333
@@ -170,21 +171,51 @@ def test_pipeline_matches_offline_reference():
     assert detection_keys(res.detections) == detection_keys(ref)
 
 
-def test_pipeline_stalled_detector_drops_and_conserves():
+@pytest.mark.parametrize("batch, capacity", [(1, 1), (1, None), (4, 4), (4, None)])
+def test_pipeline_slow_detector_loses_nothing(batch, capacity):
+    # the detector is the slower stage, so the queue fills; None is the default 2 * batch
     stream, _, n_windows = disc_recording(seconds=1.5)
-    cfg = PipelineConfig(batch_size=1, queue_capacity=1, stub_min_area=20)
+    cfg = PipelineConfig(batch_size=batch, queue_capacity=capacity, stub_min_area=20)
 
-    def slow_detector(batch):
-        time.sleep(cfg.batch_size * WINDOW * 1e-6 * 2)
-        return stub_detector(batch, cfg.stub_min_area, cfg.stub_activity_thresh)
+    def slow_detector(frames):
+        time.sleep(0.01 * len(frames))
+        return stub_detector(frames, cfg.stub_min_area, cfg.stub_activity_thresh)
 
     res = run_pipeline(stream, cfg, detector_fn=slow_detector, threads=2)
-    assert res.metrics.frames_dropped > 0
-    assert (
-        res.metrics.frames_inferred + res.metrics.frames_dropped
-        == res.metrics.frames_produced
-        == n_windows
-    )
+    ref = run_pipeline(stream, cfg, threads=1)
+    assert res.metrics.frames_dropped == 0
+    assert res.metrics.frames_inferred == res.metrics.frames_produced == n_windows
+    assert detection_keys(res.detections) == detection_keys(ref.detections)
+
+
+def accumulate_workers():
+    return [t for t in threading.enumerate() if t.name == "evflow-accumulate"]
+
+
+def test_pipeline_detector_error_stops_worker():
+    stream, _, _ = disc_recording(seconds=1.5)
+    cfg = PipelineConfig(batch_size=1, queue_capacity=1, stub_min_area=20)
+    calls = []
+
+    def failing_detector(frames):
+        calls.append(len(frames))
+        if len(calls) == 3:
+            raise RuntimeError("detector failed")
+        return [[] for _ in frames]
+
+    with pytest.raises(RuntimeError, match="detector failed"):
+        run_pipeline(stream, cfg, detector_fn=failing_detector, threads=2)
+    assert len(calls) == 3
+    assert accumulate_workers() == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pipeline_producer_error_reraises(threads):
+    stream, _, _ = disc_recording(seconds=0.5)
+    cfg = PipelineConfig(downscale_to=(1280, 960))
+    with pytest.raises(UpscaleUnsupported):
+        run_pipeline(stream, cfg, threads=threads)
+    assert accumulate_workers() == []
 
 
 def test_pipeline_external_detections_replay(tmp_path):
@@ -207,6 +238,24 @@ def test_pipeline_downscale_halves_frame():
     res = run_pipeline(stream, cfg, threads=1)
     assert all(d.box.x < 320 and d.box.y < 240 for d in res.detections)
     assert res.detections  # the disc still shows up at quarter resolution
+
+
+def test_pipeline_downscale_scores_in_detector_frame():
+    stream, track, _ = disc_recording(seconds=1.0)
+    cfg = PipelineConfig(downscale_to=(320, 240), stub_min_area=4)
+    res = run_pipeline(stream, cfg, gts=[track], threads=1)
+    assert res.eval_report.ap >= 0.9
+
+
+def test_pipeline_skips_off_sensor_ground_truth():
+    stream, track, _ = disc_recording(seconds=1.0)
+    last = track.keyframes[-1].frame_idx
+    off = Keyframe(last + 1, BBox(5000.0, 5000.0, 20.0, 20.0))
+    gt = Track(track.track_id, track.keyframes + (off,))
+    cfg = PipelineConfig(stub_min_area=20)
+    res = run_pipeline(stream, cfg, calib=identity_pair(), gts=[gt], threads=1)
+    assert res.labels_skipped == 1
+    assert res.eval_report.ap >= 0.9
 
 
 def test_pipeline_metrics_percentiles_present():
@@ -236,7 +285,4 @@ def test_pipeline_config_validation():
         run_pipeline(EventStream.empty(GEOM), PipelineConfig(batch_size=0), threads=1)
     with pytest.raises(ConfigInvalid):
         run_pipeline(EventStream.empty(GEOM), PipelineConfig(batch_size=4, queue_capacity=2),
-                     threads=1)
-    with pytest.raises(ConfigInvalid):
-        run_pipeline(EventStream.empty(GEOM), PipelineConfig(drop_policy="drop_newest"),
                      threads=1)
