@@ -22,10 +22,10 @@ from . import labels as labels_mod
 from . import netpbm
 from . import sync as sync_mod
 from . import synth as synth_mod
-from .errors import EvflowError, MissingInput
+from .errors import ConfigInvalid, EvflowError, MissingInput
 from .events import decode_stream, encode_stream
 from .geometry import load_calibration, transfer_tracks
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, pipeline_from_config, run_pipeline
 
 
 def _read(path: str) -> bytes:
@@ -38,15 +38,18 @@ def _load_events(path: str):
 
 
 def _cmd_synth(args) -> int:
-    values = config_mod.parse_kv(open(args.config).read())
-    traj, geom = config_mod.trajectory_from_config(values)
-    seed = args.seed if args.seed is not None else int(values.get("seed", "0"))
+    defaults = {"seed": "0", "frame_period_us": str(frames_mod.DEFAULT_WINDOW_US)}
+    values = {**defaults, **config_mod.parse_kv(_read(args.config).decode())}
+    traj, geom = synth_mod.trajectory_from_config(values)
+    seed = args.seed if args.seed is not None else config_mod.numbers(values, "seed", 1, int)[0]
+    if seed < 0:
+        raise ConfigInvalid(f"seed must be non-negative, got {seed}")
     stream = synth_mod.generate_disc_events(traj, geom, seed)
     with open(args.out, "wb") as fh:
         fh.write(encode_stream(stream))
     print(f"wrote {len(stream)} events to {args.out}")
     if args.truth:
-        period = int(values.get("frame_period_us", frames_mod.DEFAULT_WINDOW_US))
+        period = config_mod.numbers(values, "frame_period_us", 1, int)[0]
         track = synth_mod.ground_truth_boxes(traj, period, geom)
         labels_mod.write_labels_csv([track], args.truth)
         print(f"wrote {len(track.keyframes)} ground-truth boxes to {args.truth}")
@@ -55,19 +58,19 @@ def _cmd_synth(args) -> int:
 
 def _cmd_accumulate(args) -> int:
     stream = _load_events(args.events)
-    frames = frames_mod.frame_sequence(stream, args.window_us)
-    if args.downscale:
-        w, h = (int(v) for v in args.downscale.split(","))
-        frames = [frames_mod.downscale(f, w, h) for f in frames]
+    size = [int(v) for v in args.downscale.split(",")] if args.downscale else None
     os.makedirs(args.out_dir, exist_ok=True)
-    for f in frames:
+    n = 0
+    for n, f in enumerate(frames_mod.window_frames(stream, args.window_us), 1):
+        if size:
+            f = frames_mod.downscale(f, *size)
         base = os.path.join(args.out_dir, f"frame_{f.frame_index:06d}")
         with open(base + ".pfr1", "wb") as fh:
             fh.write(frames_mod.write_pfr1(f))
         if args.render:
             with open(base + ".ppm", "wb") as fh:
                 fh.write(netpbm.write_ppm(frames_mod.render_rgb(f)))
-    print(f"wrote {len(frames)} frames to {args.out_dir}")
+    print(f"wrote {n} frames to {args.out_dir}")
     return 0
 
 
@@ -106,7 +109,7 @@ def _cmd_sync(args) -> int:
 
 
 def _cmd_transfer_labels(args) -> int:
-    pair = load_calibration(open(args.calib).read())
+    pair = load_calibration(_read(args.calib).decode())
     out_tracks, skipped = transfer_tracks(labels_mod.load_labels_csv(args.labels), pair)
     labels_mod.write_labels_csv(out_tracks, args.out)
     if skipped:
@@ -155,11 +158,11 @@ def _cmd_bench(args) -> int:
 def _cmd_run(args) -> int:
     stream = _load_events(args.events)
     cfg = (
-        config_mod.pipeline_from_config(config_mod.parse_kv(open(args.config).read()))
+        pipeline_from_config(config_mod.parse_kv(_read(args.config).decode()))
         if args.config
         else PipelineConfig()
     )
-    calib = load_calibration(open(args.calib).read()) if args.calib else None
+    calib = load_calibration(_read(args.calib).decode()) if args.calib else None
     gts = labels_mod.load_labels_csv(args.truth) if args.truth else None
     result = run_pipeline(stream, cfg, calib=calib, gts=gts)
     if args.detections_out:
@@ -250,10 +253,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except EvflowError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    # UnicodeDecodeError: a text input file that is not UTF-8
+    except (EvflowError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -75,10 +75,6 @@ class OffSensor(EvflowError):
     """Transferred box falls entirely outside the target sensor."""
 
 
-class MissingField(EvflowError):
-    """Calibration document lacks a required key."""
-
-
 class NonOrthonormalRotation(EvflowError):
     """Rotation matrix is not close enough to orthonormal, or is a reflection."""
 
@@ -119,7 +115,11 @@ class MissingInput(EvflowError):
     """Batch sweep missing data for a requested batch size."""
 
 
-# --- pipeline ---
+# --- configuration and calibration documents ---
 
 class ConfigInvalid(EvflowError):
-    """Pipeline configuration violates its invariants."""
+    """Configuration or calibration value is malformed or violates its invariants."""
+
+
+class MissingField(ConfigInvalid):
+    """Configuration or calibration document lacks a required key."""

@@ -19,12 +19,13 @@ from __future__ import annotations
 import enum
 import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from .errors import (
     BadMagic,
+    EvflowError,
     InvalidInterval,
     NonMonotonic,
     OutOfBounds,
@@ -60,14 +61,32 @@ class SensorGeometry:
     height: int
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"sensor geometry must be positive, got {self.width}x{self.height}")
+        # x, y and the EVB1 header are u16
+        if not (0 < self.width <= 0xFFFF and 0 < self.height <= 0xFFFF):
+            raise ValueError(f"sensor sides must be in 1..65535, got {self.width}x{self.height}")
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     violation: str | None = None
+
+
+def _first_violation(
+    geometry: SensorGeometry, t: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> Optional[EvflowError]:
+    """The stream-invariant violation with the lowest index (NonMonotonic on a tie), or None."""
+    bad = np.flatnonzero(t[1:] < t[:-1])
+    oob = np.flatnonzero((x >= geometry.width) | (y >= geometry.height))
+    i = int(bad[0]) + 1 if bad.size else t.size
+    j = int(oob[0]) if oob.size else t.size
+    if i < t.size and i <= j:
+        return NonMonotonic(f"timestamp decreases at index {i}: {t[i]} < {t[i - 1]}")
+    if j < t.size:
+        return OutOfBounds(
+            f"event at index {j}: ({x[j]}, {y[j]}) outside {geometry.width}x{geometry.height}"
+        )
+    return None
 
 
 class EventStream:
@@ -87,17 +106,10 @@ class EventStream:
         p = np.ascontiguousarray(p, dtype=np.uint8)
         if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
             raise ValueError("event columns must be equal-length 1D arrays")
-        if check and t.size:
-            bad = np.flatnonzero(t[1:] < t[:-1])
-            if bad.size:
-                i = int(bad[0]) + 1
-                raise NonMonotonic(f"timestamp decreases at index {i}: {t[i]} < {t[i - 1]}")
-            oob = np.flatnonzero((x >= geometry.width) | (y >= geometry.height))
-            if oob.size:
-                i = int(oob[0])
-                raise OutOfBounds(
-                    f"event {i} at ({x[i]}, {y[i]}) outside {geometry.width}x{geometry.height}"
-                )
+        if check:
+            violation = _first_violation(geometry, t, x, y)
+            if violation is not None:
+                raise violation
         for arr in (t, x, y, p):
             arr.setflags(write=False)
         object.__setattr__(self, "geometry", geometry)
@@ -198,29 +210,19 @@ def encode_stream(s: EventStream) -> bytes:
 
 def validate(s: EventStream) -> ValidationReport:
     """Check stream invariants, reporting the first violation instead of raising."""
-    t, x, y = s.t, s.x, s.y
-    if t.size:
-        bad = np.flatnonzero(t[1:] < t[:-1])
-        oob = np.flatnonzero((x >= s.width) | (y >= s.height))
-        first_bad = int(bad[0]) + 1 if bad.size else None
-        first_oob = int(oob[0]) if oob.size else None
-        if first_bad is not None and (first_oob is None or first_bad <= first_oob):
-            return ValidationReport(
-                False, f"NonMonotonic at index {first_bad}: {t[first_bad]} < {t[first_bad - 1]}"
-            )
-        if first_oob is not None:
-            i = first_oob
-            return ValidationReport(
-                False, f"OutOfBounds at index {i}: ({x[i]}, {y[i]}) on {s.width}x{s.height}"
-            )
-    return ValidationReport(True)
+    violation = _first_violation(s.geometry, s.t, s.x, s.y)
+    if violation is None:
+        return ValidationReport(True)
+    return ValidationReport(False, f"{type(violation).__name__}: {violation}")
 
 
 def slice_interval(s: EventStream, t0: int, t1: int) -> EventStream:
     """Events with t0 <= t < t1 (half-open), order preserved."""
     if t0 > t1:
         raise InvalidInterval(f"t0={t0} > t1={t1}")
-    lo, hi = np.searchsorted(s.t, [t0, t1], side="left")
+    # uint64 keys: Python-int keys would convert the whole column to float64
+    keys = np.array([max(t0, 0), max(t1, 0)], dtype=np.uint64)
+    lo, hi = np.searchsorted(s.t, keys, side="left")
     return EventStream(s.geometry, s.t[lo:hi], s.x[lo:hi], s.y[lo:hi], s.p[lo:hi], check=False)
 
 

@@ -5,6 +5,10 @@ uint8 channels (positive, negative), saturating at 255. A 1280x720 frame
 therefore occupies exactly 1280*720*2 bytes. Rendering paints positive
 activity white and negative activity blue on black.
 
+window_frames is the one cutter of the window grid [k*T, (k+1)*T): one
+search finds every edge, then frames are made lazily. The pipeline, sync
+and the CLI all read their frames from it.
+
 Frame dump format PFR1 (little-endian):
 
     magic "PFR1" | width u16 | height u16 | t0 u64 | duration u64
@@ -14,12 +18,12 @@ Frame dump format PFR1 (little-endian):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List, Optional
 
 import numpy as np
 
 from .errors import InvalidWindow, TruncatedRecord, UpscaleUnsupported, BadMagic
-from .events import EventStream
+from .events import EventStream, slice_interval
 
 PFR1_MAGIC = b"PFR1"
 SATURATION = 255
@@ -80,30 +84,34 @@ def accumulate(s: EventStream, t0: int, duration: int) -> PolarityFrame:
     """
     if duration <= 0:
         raise InvalidWindow(f"integration window must be positive, got {duration}")
-    lo, hi = np.searchsorted(s.t, [t0, t0 + duration], side="left")
-    return _count_frame(s, int(lo), int(hi), t0, duration)
+    window = slice_interval(s, t0, t0 + duration)
+    return _count_frame(window, 0, len(window), t0, duration)
 
 
-def frame_sequence(s: EventStream, duration: int) -> List[PolarityFrame]:
-    """Frames over consecutive windows [k*T, (k+1)*T).
+def window_frames(
+    s: EventStream, duration: int, first: Optional[int] = None, last: Optional[int] = None
+) -> Iterator[PolarityFrame]:
+    """Frames over consecutive windows [k*T, (k+1)*T) for k = first..last.
 
-    Covers the first window containing events through the last; interior
-    windows without events yield all-zero frames. Empty stream -> [].
+    first and last default to the windows of the first and last event;
+    with a default end an empty stream yields nothing. Windows without
+    events yield all-zero frames.
     """
     if duration <= 0:
         raise InvalidWindow(f"integration window must be positive, got {duration}")
-    if len(s) == 0:
-        return []
-    k0 = int(s.t[0] // duration)
-    k1 = int(s.t[-1] // duration)
+    if len(s) == 0 and (first is None or last is None):
+        return
+    k0 = int(s.t[0] // duration) if first is None else first
+    k1 = int(s.t[-1] // duration) if last is None else last
     edges = np.arange(k0, k1 + 2, dtype=np.uint64) * np.uint64(duration)
     bounds = np.searchsorted(s.t, edges, side="left")
-    frames = []
     for i, k in enumerate(range(k0, k1 + 1)):
-        frames.append(
-            _count_frame(s, int(bounds[i]), int(bounds[i + 1]), k * duration, duration)
-        )
-    return frames
+        yield _count_frame(s, int(bounds[i]), int(bounds[i + 1]), k * duration, duration)
+
+
+def frame_sequence(s: EventStream, duration: int) -> List[PolarityFrame]:
+    """Every frame of window_frames(s, duration) as a list. Empty stream -> []."""
+    return list(window_frames(s, duration))
 
 
 def render_rgb(f: PolarityFrame) -> np.ndarray:
@@ -120,13 +128,10 @@ def render_rgb(f: PolarityFrame) -> np.ndarray:
 def _overlap_weights(n_in: int, n_out: int) -> np.ndarray:
     """(n_out, n_in) row-stochastic matrix of interval overlaps for area averaging."""
     scale = n_in / n_out
-    out = np.zeros((n_out, n_in))
-    for j in range(n_out):
-        start, end = j * scale, (j + 1) * scale
-        i0, i1 = int(np.floor(start)), int(np.ceil(end))
-        for i in range(i0, min(i1, n_in)):
-            out[j, i] = min(end, i + 1) - max(start, i)
-    return out / scale
+    j = np.arange(n_out)[:, None]
+    i = np.arange(n_in)[None, :]
+    overlap = np.minimum((j + 1) * scale, i + 1) - np.maximum(j * scale, i)
+    return np.maximum(overlap, 0.0) / scale
 
 
 def area_average(grid: np.ndarray, out_w: int, out_h: int) -> np.ndarray:

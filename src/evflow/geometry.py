@@ -33,10 +33,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .config import numbers, parse_kv
 from .errors import (
     BehindCamera,
+    ConfigInvalid,
     EvflowError,
-    MissingField,
     NoConvergence,
     NonOrthonormalRotation,
     OffSensor,
@@ -310,42 +311,21 @@ def load_calibration(doc: str) -> CameraPair:
     Rotations within 1e-6 of orthonormal are snapped to the nearest
     rotation; anything further off, or any reflection, is rejected.
     """
-    values = {}
-    for lineno, raw in enumerate(doc.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-
-    def need(key: str) -> str:
-        if key not in values:
-            raise MissingField(key)
-        return values[key]
-
-    def floats(key: str, n: int) -> list[float]:
-        parts = need(key).split()
-        if len(parts) != n:
-            raise ValueError(f"{key}: expected {n} values, got {len(parts)}")
-        return [float(v) for v in parts]
+    values = parse_kv(doc)
 
     def camera(prefix: str) -> Camera:
-        intr = Intrinsics(
-            float(need(f"{prefix}.fx")),
-            float(need(f"{prefix}.fy")),
-            float(need(f"{prefix}.cx")),
-            float(need(f"{prefix}.cy")),
-        )
-        dist = Distortion(*floats(f"{prefix}.dist", 4))
-        w, h = floats(f"{prefix}.size", 2)
-        return Camera(intr, dist, SensorGeometry(int(w), int(h)))
+        fx, fy, cx, cy = (numbers(values, f"{prefix}.{k}", 1)[0] for k in ("fx", "fy", "cx", "cy"))
+        dist = Distortion(*numbers(values, f"{prefix}.dist", 4))
+        w, h = numbers(values, f"{prefix}.size", 2)
+        try:
+            return Camera(Intrinsics(fx, fy, cx, cy), dist, SensorGeometry(int(w), int(h)))
+        except ValueError as exc:
+            raise ConfigInvalid(f"{prefix}: {exc}") from None
 
     cam_rgb = camera("cam_rgb")
     cam_dvs = camera("cam_dvs")
-    r = np.array(floats("extrinsics.R", 9)).reshape(3, 3)
-    t = np.array(floats("extrinsics.t", 3))
+    r = np.array(numbers(values, "extrinsics.R", 9)).reshape(3, 3)
+    t = np.array(numbers(values, "extrinsics.t", 3))
     deviation = float(np.max(np.abs(r.T @ r - np.eye(3))))
     if deviation > 1e-6:
         raise NonOrthonormalRotation(f"R^T R off identity by {deviation:.3e} (> 1e-6)")

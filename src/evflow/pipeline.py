@@ -30,9 +30,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import ndimage
 
+from .config import numbers
 from .errors import ConfigInvalid
 from .events import EventStream
-from .frames import PolarityFrame, accumulate, activity, downscale, frame_sequence
+from .frames import PolarityFrame, activity, downscale, frame_sequence, window_frames
 from .geometry import CameraPair, transfer_tracks
 from .labels import BBox, Detection, EvalReport, Track, densify_tracks, evaluate_detections, load_detections_csv
 
@@ -68,6 +69,27 @@ class PipelineConfig:
         if cap < self.batch_size:
             raise ConfigInvalid(f"queue_capacity {cap} < batch_size {self.batch_size}")
         return cap
+
+
+def pipeline_from_config(values: Dict[str, str]) -> PipelineConfig:
+    """Read pipeline keys; every key is optional and falls back to defaults."""
+    cfg = PipelineConfig()
+    for key, attr in (
+        ("integration_window_us", "integration_window"),
+        ("batch_size", "batch_size"),
+        ("queue_capacity", "queue_capacity"),
+        ("stub_min_area", "stub_min_area"),
+        ("stub_activity_thresh", "stub_activity_thresh"),
+    ):
+        if key in values:
+            setattr(cfg, attr, numbers(values, key, 1, int)[0])
+    if "detector" in values:
+        cfg.detector = values["detector"]
+    if values.get("downscale_to", "none").lower() != "none":
+        w, h = numbers(values, "downscale_to", 2)
+        cfg.downscale_to = (int(w), int(h))
+    cfg.validated_capacity()
+    return cfg
 
 
 @dataclass
@@ -231,13 +253,13 @@ def run_pipeline(
     t_begin = time.perf_counter()
 
     def produce() -> Iterator[PolarityFrame]:
-        for k in _window_indices(events, cfg.integration_window):
-            t0 = time.perf_counter()
-            frame = accumulate(events, k * cfg.integration_window, cfg.integration_window)
+        t0 = time.perf_counter()
+        for frame in window_frames(events, cfg.integration_window):
             if cfg.downscale_to is not None:
                 frame = downscale(frame, *cfg.downscale_to)
             acc_ms.append((time.perf_counter() - t0) * 1e3)
             yield frame
+            t0 = time.perf_counter()
 
     def consume_batch(batch: List[PolarityFrame]) -> None:
         t0 = time.perf_counter()
@@ -282,12 +304,6 @@ def run_pipeline(
             }
         report = evaluate_detections(detections, gt_boxes, iou_thresh=0.5)
     return PipelineResult(detections, metrics, report, skipped)
-
-
-def _window_indices(events: EventStream, window: int) -> List[int]:
-    if len(events) == 0:
-        return []
-    return list(range(int(events.t[0] // window), int(events.t[-1] // window) + 1))
 
 
 def offline_detections(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientOverlap, ShapeMismatch, ZeroVariance
 from .events import EventStream
-from .frames import activity, area_average, frame_sequence
+from .frames import activity, area_average, window_frames
 
 log = logging.getLogger(__name__)
 
@@ -121,12 +121,10 @@ def find_offset(
 def event_activity_sequence(
     s: EventStream, frame_period: int, n_frames: int | None = None
 ) -> List[np.ndarray]:
-    """Per-window activity grids starting at window 0, as float64."""
-    frames = frame_sequence(s, frame_period)
-    grids = {f.frame_index: activity(f).astype(np.float64) for f in frames}
-    last = n_frames - 1 if n_frames is not None else max(grids, default=-1)
-    zero = np.zeros((s.height, s.width))
-    return [grids.get(k, zero) for k in range(0, last + 1)]
+    """Per-window activity grids of windows 0..n_frames-1 (default: through
+    the last event's window), as float64."""
+    last = None if n_frames is None else n_frames - 1
+    return [activity(f).astype(np.float64) for f in window_frames(s, frame_period, 0, last)]
 
 
 def gray_activity_sequence(seq: GrayFrameSequence) -> List[np.ndarray]:

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import DegenerateTrajectory
+from .config import numbers
+from .errors import ConfigInvalid, DegenerateTrajectory
 from .events import EventStream, SensorGeometry
 from .labels import BBox, Keyframe, Track
 
@@ -55,6 +56,24 @@ class DiscTrajectory:
             self.center_start[0] + self.velocity[0] * t_s,
             self.center_start[1] + self.velocity[1] * t_s,
         )
+
+
+def trajectory_from_config(values: Dict[str, str]) -> Tuple[DiscTrajectory, SensorGeometry]:
+    """Read synth keys: center_start, velocity, radius, duration_s,
+    event_rate_density, sensor."""
+    w, h = numbers(values, "sensor", 2)
+    try:
+        traj = DiscTrajectory(
+            center_start=tuple(numbers(values, "center_start", 2)),
+            velocity=tuple(numbers(values, "velocity", 2)),
+            radius=numbers(values, "radius", 1)[0],
+            duration=numbers(values, "duration_s", 1)[0],
+            event_rate_density=numbers(values, "event_rate_density", 1)[0],
+        )
+        geom = SensorGeometry(int(w), int(h))
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from None
+    return traj, geom
 
 
 def _rect_distance(cx: float, cy: float, geom: SensorGeometry) -> float:

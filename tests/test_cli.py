@@ -142,19 +142,22 @@ def test_sync_recovers_delay(tmp_path, capsys):
     assert len(doc["curve"]) == 13
 
 
+CALIB_DOC = (
+    "cam_rgb.fx = 500\ncam_rgb.fy = 500\ncam_rgb.cx = 320\ncam_rgb.cy = 240\n"
+    "cam_rgb.dist = 0 0 0 0\ncam_rgb.size = 640 480\n"
+    "cam_dvs.fx = 500\ncam_dvs.fy = 500\ncam_dvs.cx = 320\ncam_dvs.cy = 240\n"
+    "cam_dvs.dist = 0 0 0 0\ncam_dvs.size = 640 480\n"
+    "extrinsics.R = 1 0 0 0 1 0 0 0 1\nextrinsics.t = 0 0 0\n"
+)
+
+
 def test_transfer_labels_identity_calibration(tmp_path, capsys):
     track = Track("d", (Keyframe(0, BBox(100, 120, 40, 30)),
                         Keyframe(5, BBox(140, 150, 40, 30))))
     labels = tmp_path / "labels.csv"
     write_labels_csv([track], str(labels))
     calib = tmp_path / "calib.txt"
-    calib.write_text(
-        "cam_rgb.fx = 500\ncam_rgb.fy = 500\ncam_rgb.cx = 320\ncam_rgb.cy = 240\n"
-        "cam_rgb.dist = 0 0 0 0\ncam_rgb.size = 640 480\n"
-        "cam_dvs.fx = 500\ncam_dvs.fy = 500\ncam_dvs.cx = 320\ncam_dvs.cy = 240\n"
-        "cam_dvs.dist = 0 0 0 0\ncam_dvs.size = 640 480\n"
-        "extrinsics.R = 1 0 0 0 1 0 0 0 1\nextrinsics.t = 0 0 0\n"
-    )
+    calib.write_text(CALIB_DOC)
     out_csv = tmp_path / "out.csv"
     code, _, _ = run_cli(capsys, "transfer-labels", "--labels", str(labels),
                          "--calib", str(calib), "--out", str(out_csv))
@@ -213,6 +216,37 @@ def test_data_error_exits_1(tmp_path, capsys):
                            "--out-dir", str(tmp_path / "x"))
     assert code == 1
     assert err.startswith("error: BadMagic:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_transfer_labels_malformed_calibration_exits_1(tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    write_labels_csv([Track("d", (Keyframe(0, BBox(100, 120, 40, 30)),))], str(labels))
+    calib = tmp_path / "calib.txt"
+    calib.write_text(CALIB_DOC.replace("cam_rgb.fx = 500", "cam_rgb.fx = abc"))
+    code, _, err = run_cli(capsys, "transfer-labels", "--labels", str(labels),
+                           "--calib", str(calib), "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert err.startswith("error: ConfigInvalid:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("line,bad,kind", [
+    ("seed = 5", "seed = five", "ConfigInvalid"),
+    ("radius = 14", "radius = abc", "ConfigInvalid"),
+    ("radius = 14", "radius = -3", "ConfigInvalid"),
+    ("radius = 14", "", "MissingField"),
+    ("seed = 5", "seed = -1", "ConfigInvalid"),
+    ("sensor = 640 480", "sensor = 70000 480", "ConfigInvalid"),
+    ("radius = 14", "radius = \xff", "UnicodeDecodeError"),  # not UTF-8
+])
+def test_synth_malformed_config_exits_1(tmp_path, capsys, line, bad, kind):
+    cfg = tmp_path / "traj.cfg"
+    cfg.write_bytes(TRAJ_CFG.format(dur=1.0).replace(line, bad).encode("latin-1"))
+    code, _, err = run_cli(capsys, "synth", "--config", str(cfg),
+                           "--out", str(tmp_path / "rec.evb1"), "--truth", str(tmp_path / "t.csv"))
+    assert code == 1
+    assert err.startswith(f"error: {kind}:")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -120,6 +120,16 @@ def test_validate_reports_out_of_bounds():
     assert "OutOfBounds" in rep.violation
 
 
+def test_lowest_index_violation_wins_in_decode_and_validate():
+    # off-sensor x at index 1, decreasing timestamp at index 3
+    t, x = [1, 2, 5, 4], [0, 1280, 0, 0]
+    blob = header(1280, 720) + b"".join(record(ti, xi, 0, 0) for ti, xi in zip(t, x))
+    with pytest.raises(OutOfBounds, match="index 1"):
+        decode_stream(blob)
+    rep = validate(EventStream(HD, t, x, [0] * 4, [0] * 4, check=False))
+    assert rep.violation.startswith("OutOfBounds") and "index 1" in rep.violation
+
+
 def test_decode_output_always_validates():
     # validation soundness: anything decode accepts, validate accepts
     for seed in range(5):
@@ -131,6 +141,11 @@ def test_slice_half_open_boundaries():
     s = make_stream(HD, [10, 20, 30], [1, 2, 3], [1, 2, 3], [1, 1, 1])
     out = slice_interval(s, 10, 30)
     assert [e.t for e in out] == [10, 20]
+
+
+def test_slice_negative_start_is_clamped_to_zero():
+    s = make_stream(HD, [0, 10, 20, 30], [1, 2, 3, 4], [1, 2, 3, 4], [1, 1, 1, 1])
+    assert slice_interval(s, -5, 30) == slice_interval(s, 0, 30)
 
 
 def test_slice_empty_interval():

@@ -12,8 +12,10 @@ from evflow.frames import (
     frame_sequence,
     read_pfr1,
     render_rgb,
+    window_frames,
     write_pfr1,
 )
+from evflow.frames import _overlap_weights
 
 HD = SensorGeometry(1280, 720)
 SMALL = SensorGeometry(64, 48)
@@ -104,6 +106,61 @@ def test_frame_sequence_rejects_zero_window():
 
 def test_frame_sequence_empty_stream():
     assert frame_sequence(EventStream.empty(SMALL), 33_333) == []
+
+
+def assert_same_frame(a, b):
+    assert (a.t0, a.duration, a.width, a.height) == (b.t0, b.duration, b.width, b.height)
+    assert np.array_equal(a.pos, b.pos) and np.array_equal(a.neg, b.neg)
+
+
+def gap_stream():
+    # events in windows 3-4 and 9, none in windows 5-8
+    a = random_stream(SMALL, 2_000, seed=31, t_max=60_000)
+    b = random_stream(SMALL, 1_000, seed=32, t_max=20_000)
+    t = np.concatenate([a.t + 100_000, b.t + 300_000])
+    return EventStream(SMALL, t, np.concatenate([a.x, b.x]), np.concatenate([a.y, b.y]),
+                       np.concatenate([a.p, b.p]))
+
+
+def test_window_frames_match_accumulate_across_gap():
+    s, T = gap_stream(), 33_333
+    frames = list(window_frames(s, T))
+    assert [f.frame_index for f in frames] == list(range(3, 10))
+    for f in frames:
+        assert_same_frame(f, accumulate(s, f.t0, T))
+    assert not any(f.pos.any() or f.neg.any() for f in frames[2:6])
+
+
+def test_window_frames_explicit_range_before_first_event():
+    s, T = gap_stream(), 33_333
+    frames = list(window_frames(s, T, 0, 11))
+    assert [f.t0 for f in frames] == [k * T for k in range(12)]
+    for f in frames:
+        assert_same_frame(f, accumulate(s, f.t0, T))
+    assert sum(int(f.pos.sum()) + int(f.neg.sum()) for f in frames) == len(s)
+
+
+def test_window_frames_explicit_range_on_empty_stream():
+    frames = list(window_frames(EventStream.empty(SMALL), 1000, 0, 2))
+    assert [f.t0 for f in frames] == [0, 1000, 2000]
+    assert not any(f.pos.any() or f.neg.any() for f in frames)
+
+
+def loop_overlap_weights(n_in, n_out):
+    """The double loop _overlap_weights replaced, kept as an exact oracle."""
+    scale = n_in / n_out
+    out = np.zeros((n_out, n_in))
+    for j in range(n_out):
+        start, end = j * scale, (j + 1) * scale
+        i0, i1 = int(np.floor(start)), int(np.ceil(end))
+        for i in range(i0, min(i1, n_in)):
+            out[j, i] = min(end, i + 1) - max(start, i)
+    return out / scale
+
+
+@pytest.mark.parametrize("n_in,n_out", [(1280, 640), (1280, 427), (13, 7)])
+def test_overlap_weights_equal_loop_oracle(n_in, n_out):
+    assert np.array_equal(_overlap_weights(n_in, n_out), loop_overlap_weights(n_in, n_out))
 
 
 def test_render_all_zero_is_black():

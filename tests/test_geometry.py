@@ -5,6 +5,7 @@ import pytest
 from scipy import optimize
 
 from evflow.errors import (
+    ConfigInvalid,
     BehindCamera,
     MissingField,
     NoConvergence,
@@ -289,6 +290,19 @@ def test_load_calibration_missing_field():
     doc = "\n".join(l for l in CALIB_DOC.splitlines() if "cam_dvs.fy" not in l)
     with pytest.raises(MissingField):
         load_calibration(doc)
+
+
+@pytest.mark.parametrize("line,bad", [
+    ("cam_rgb.fx = 520.9", "cam_rgb.fx = abc"),
+    ("cam_rgb.fx = 520.9", "cam_rgb.fx = -1"),
+    ("cam_rgb.dist = -0.28 0.07 0.0003 -0.0002", "cam_rgb.dist = 0 0 0"),
+    ("cam_dvs.size = 1280 720", "cam_dvs.size = 0 720"),
+    ("extrinsics.t = 0.021 -0.003 0.0005", "extrinsics.t = nan 0 0"),
+    ("# rig calibration", "rig calibration"),
+])
+def test_load_calibration_rejects_malformed_value(line, bad):
+    with pytest.raises(ConfigInvalid):
+        load_calibration(CALIB_DOC.replace(line, bad))
 
 
 def test_load_calibration_rejects_reflection():

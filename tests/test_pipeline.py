@@ -4,13 +4,14 @@ import time
 import numpy as np
 import pytest
 
-from evflow.errors import ConfigInvalid, UpscaleUnsupported
+from evflow.errors import ConfigInvalid, MissingField, UpscaleUnsupported
 from evflow.events import EventStream, SensorGeometry
 from evflow.frames import PolarityFrame, frame_sequence
 from evflow.labels import BBox, Keyframe, Track, interpolate_track, iou, write_detections_csv
 from evflow.pipeline import (
     PipelineConfig,
     offline_detections,
+    pipeline_from_config,
     run_pipeline,
     stub_detector,
 )
@@ -286,3 +287,30 @@ def test_pipeline_config_validation():
     with pytest.raises(ConfigInvalid):
         run_pipeline(EventStream.empty(GEOM), PipelineConfig(batch_size=4, queue_capacity=2),
                      threads=1)
+
+
+def test_pipeline_from_config_reads_every_key():
+    cfg = pipeline_from_config({
+        "integration_window_us": "10000", "batch_size": "4", "queue_capacity": "8",
+        "detector": "dets.csv", "downscale_to": "320 240", "stub_min_area": "20",
+        "stub_activity_thresh": "2",
+    })
+    assert cfg == PipelineConfig(10_000, 4, "dets.csv", (320, 240), 8, 20, 2)
+    assert pipeline_from_config({"downscale_to": "None"}) == PipelineConfig()
+
+
+@pytest.mark.parametrize("values", [
+    {"batch_size": "two"},
+    {"batch_size": "2.5"},
+    {"batch_size": "1 2"},
+    {"downscale_to": "320"},
+    {"downscale_to": "320 inf"},
+    {"batch_size": "4", "queue_capacity": "2"},
+])
+def test_pipeline_from_config_rejects_malformed_value(values):
+    with pytest.raises(ConfigInvalid):
+        pipeline_from_config(values)
+
+
+def test_missing_field_is_a_config_error():
+    assert issubclass(MissingField, ConfigInvalid)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from evflow.errors import InsufficientOverlap, ShapeMismatch, ZeroVariance
-from evflow.events import SensorGeometry
+from evflow.events import EventStream, SensorGeometry
 from evflow.sync import (
     GrayFrameSequence,
     event_activity_sequence,
@@ -156,6 +158,20 @@ def test_cross_modality_offset_recovery():
         to_common_raster(ev_act[: len(rgb_act)]), to_common_raster(rgb_act), 8
     )
     assert abs(res.best_offset - delay) <= 1
+
+
+def test_event_activity_sequence_builds_only_requested_windows():
+    # two events 10 s apart: only windows 0 and 1 may be built, not all ~300
+    s = EventStream(SensorGeometry(160, 120), [5, 10_000_000], [1, 2], [1, 2], [1, 0])
+    tracemalloc.start()
+    try:
+        grids = event_activity_sequence(s, 33_333, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grids) == 2
+    assert grids[0][1, 1] == 1.0 and grids[0].sum() == 1.0 and not grids[1].any()
+    assert peak < 5_000_000
 
 
 def test_offset_result_curve_contains_best():
