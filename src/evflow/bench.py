@@ -14,15 +14,15 @@ Latency table CSV: header ``batch_size,latency_ms``.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import IO, Callable, Dict, List, Mapping, Sequence, Union
 
 import numpy as np
 
+from .config import read_table
 from .errors import (
+    BadRow,
     EmptyTrace,
     MissingInput,
     NegativeVoltage,
@@ -73,30 +73,16 @@ class PowerTrace:
         return (len(self) - 1) * self.sample_period
 
 
-def load_power_trace(f: Union[str, io.IOBase]) -> PowerTrace:
+def load_power_trace(f: Union[str, IO[str]]) -> PowerTrace:
     """Read a power CSV and infer the sample period.
 
     The grid must be uniform: every timestamp within 1% of the inferred
     period from its nominal position.
     """
-    own = isinstance(f, str)
-    fh = open(f, "r", newline="") if own else f
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t_s", "voltage_v", "current_a"]:
-            raise EmptyTrace(f"expected header 't_s,voltage_v,current_a', got {header}")
-        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader if r]
-    finally:
-        if own:
-            fh.close()
+    rows = read_table(f, ("t_s", "voltage_v", "current_a"), lambda *tvc: tuple(map(float, tvc)))
     if not rows:
         raise EmptyTrace("no samples")
-    t = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
-    c = np.array([r[2] for r in rows])
-    if np.any(v < 0):
-        raise NegativeVoltage(f"sample {int(np.argmax(v < 0))} has voltage < 0")
+    t, v, c = np.array(rows).T
     if len(rows) < 2:
         raise NonUniformSampling("need at least two samples to infer the period")
     period = (t[-1] - t[0]) / (len(t) - 1)
@@ -215,14 +201,7 @@ class BenchRow:
     mean_power_w: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "worst_case_ms": self.worst_case_ms,
-            "throughput_fps": self.throughput_fps,
-            "realtime_feasible": self.realtime_feasible,
-            "energy_mj_per_frame": self.energy_mj_per_frame,
-            "mean_power_w": self.mean_power_w,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -284,19 +263,14 @@ def sweep_batches(
     return BenchReport(tuple(rows))
 
 
-def load_latency_table(f: Union[str, io.IOBase]) -> Dict[int, float]:
+def load_latency_table(f: Union[str, IO[str]]) -> Dict[int, float]:
     """Read a latency table CSV into {batch_size: seconds}."""
-    own = isinstance(f, str)
-    fh = open(f, "r", newline="") if own else f
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["batch_size", "latency_ms"]:
-            raise MissingInput(f"expected header 'batch_size,latency_ms', got {header}")
-        out = {int(r[0]): float(r[1]) * 1e-3 for r in reader if r}
-    finally:
-        if own:
-            fh.close()
+    out = dict(
+        read_table(f, ("batch_size", "latency_ms"), lambda b, ms: (int(b), float(ms) * 1e-3))
+    )
     if not out:
         raise MissingInput("latency table has no rows")
+    for b, s in out.items():
+        if b < 1 or not s > 0:
+            raise BadRow(f"batch size {b}, latency {s * 1e3} ms: need B >= 1 and a positive latency")
     return out

@@ -11,7 +11,8 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from dataclasses import asdict
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +27,51 @@ from .errors import ConfigInvalid, EvflowError, MissingInput
 from .events import decode_stream, encode_stream
 from .geometry import load_calibration, transfer_tracks
 from .pipeline import PipelineConfig, pipeline_from_config, run_pipeline
+
+
+# argparse types: a value they reject with ValueError is a usage error (exit 2)
+
+
+def positive_ints(text: str) -> List[int]:
+    values = [int(v) for v in text.split(",")]
+    if min(values) < 1:
+        raise ValueError(text)
+    return values
+
+
+def positive_int(text: str) -> int:
+    (value,) = positive_ints(text)
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def size(text: str) -> Tuple[int, int]:
+    w, h = positive_ints(text)
+    return w, h
+
+
+def iou(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(text)
+    return value
+
+
+def time_window(text: str) -> Tuple[float, float]:
+    t0, t1 = (float(v) for v in text.split(":"))
+    return t0, t1
+
+
+def power_trace(text: str) -> Tuple[int, str, int]:
+    b, rest = text.split("=", 1)
+    path, frames = rest.rsplit(":", 1)
+    return positive_int(b), path, positive_int(frames)
 
 
 def _read(path: str) -> bytes:
@@ -58,12 +104,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_accumulate(args) -> int:
     stream = _load_events(args.events)
-    size = [int(v) for v in args.downscale.split(",")] if args.downscale else None
     os.makedirs(args.out_dir, exist_ok=True)
     n = 0
     for n, f in enumerate(frames_mod.window_frames(stream, args.window_us), 1):
-        if size:
-            f = frames_mod.downscale(f, *size)
+        if args.downscale:
+            f = frames_mod.downscale(f, *args.downscale)
         base = os.path.join(args.out_dir, f"frame_{f.frame_index:06d}")
         with open(base + ".pfr1", "wb") as fh:
             fh.write(frames_mod.write_pfr1(f))
@@ -132,22 +177,11 @@ def _cmd_bench(args) -> int:
     energy_inputs = None
     if args.trace:
         energy_inputs = {}
-        for spec in args.trace:
-            try:
-                b_part, rest = spec.split("=", 1)
-                path, frames_part = rest.rsplit(":", 1)
-            except ValueError:
-                raise MissingInput(f"--trace expects B=PATH:FRAMES, got {spec!r}")
+        for b, path, n_frames in args.trace:
             trace = bench_mod.load_power_trace(path)
-            t0, t1 = (0.0, trace.duration)
-            if args.window:
-                t0, t1 = (float(v) for v in args.window.split(":"))
-            energy_inputs[int(b_part)] = bench_mod.EnergyInput(
-                trace, t0, t1, int(frames_part)
-            )
-    batches = sorted(latency) if not args.batch_sizes else [
-        int(b) for b in args.batch_sizes.split(",")
-    ]
+            t0, t1 = args.window or (0.0, trace.duration)
+            energy_inputs[b] = bench_mod.EnergyInput(trace, t0, t1, n_frames)
+    batches = args.batch_sizes or sorted(latency)
     report = bench_mod.sweep_batches(
         batches, latency, energy_inputs, args.frame_period_us
     )
@@ -168,11 +202,7 @@ def _cmd_run(args) -> int:
     if args.detections_out:
         labels_mod.write_detections_csv(result.detections, args.detections_out)
     doc = {
-        "frames_produced": result.metrics.frames_produced,
-        "frames_inferred": result.metrics.frames_inferred,
-        "frames_dropped": result.metrics.frames_dropped,
-        "throughput_fps": result.metrics.throughput_fps,
-        "stage_latency_ms": result.metrics.stage_latency_ms,
+        **asdict(result.metrics),
         "n_detections": len(result.detections),
         "labels_skipped": result.labels_skipped,
     }
@@ -203,15 +233,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True, help="EVB1 input")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--window-us", type=int, default=frames_mod.DEFAULT_WINDOW_US)
-    p.add_argument("--downscale", help="output size W,H")
+    p.add_argument("--downscale", type=size, help="output size W,H")
     p.add_argument("--render", action="store_true", help="also write PPM renders")
     p.set_defaults(fn=_cmd_accumulate)
 
     p = sub.add_parser("sync", help="recover the event/frame temporal offset")
     p.add_argument("--events", required=True, help="EVB1 input")
     p.add_argument("--frames-dir", required=True, help="directory of PGM/PPM frames")
-    p.add_argument("--frame-period-us", type=int, required=True)
-    p.add_argument("--max-offset", type=int, default=10)
+    p.add_argument("--frame-period-us", type=positive_int, required=True)
+    p.add_argument("--max-offset", type=non_negative_int, default=10)
     p.add_argument("--out", help="write the JSON report here as well")
     p.set_defaults(fn=_cmd_sync)
 
@@ -224,15 +254,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score detections against ground truth")
     p.add_argument("--detections", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--iou", type=float, default=0.5)
+    p.add_argument("--iou", type=iou, default=0.5)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("bench", help="batching latency / energy report")
     p.add_argument("--latency-table", required=True, help="CSV batch_size,latency_ms")
-    p.add_argument("--trace", action="append", help="B=PATH:FRAMES power trace per batch size")
-    p.add_argument("--window", help="integration window T0:T1 seconds")
-    p.add_argument("--batch-sizes", help="comma list; defaults to the table's")
-    p.add_argument("--frame-period-us", type=int, default=bench_mod.DEFAULT_FRAME_PERIOD_US)
+    p.add_argument("--trace", type=power_trace, action="append",
+                   help="B=PATH:FRAMES power trace per batch size")
+    p.add_argument("--window", type=time_window, help="integration window T0:T1 seconds")
+    p.add_argument("--batch-sizes", type=positive_ints, help="comma list; defaults to the table's")
+    p.add_argument("--frame-period-us", type=positive_int,
+                   default=bench_mod.DEFAULT_FRAME_PERIOD_US)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p.set_defaults(fn=_cmd_bench)
 

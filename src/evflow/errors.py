@@ -12,7 +12,7 @@ class EvflowError(Exception):
 # --- event stream decoding / validation ---
 
 class BadMagic(EvflowError):
-    """Blob does not start with the expected format magic."""
+    """Blob header does not describe a supported file."""
 
 
 class TruncatedRecord(EvflowError):
@@ -115,7 +115,7 @@ class MissingInput(EvflowError):
     """Batch sweep missing data for a requested batch size."""
 
 
-# --- configuration and calibration documents ---
+# --- configuration, calibration and table documents ---
 
 class ConfigInvalid(EvflowError):
     """Configuration or calibration value is malformed or violates its invariants."""
@@ -123,3 +123,7 @@ class ConfigInvalid(EvflowError):
 
 class MissingField(ConfigInvalid):
     """Configuration or calibration document lacks a required key."""
+
+
+class BadRow(EvflowError):
+    """CSV table lacks a column, or one of its lines does not describe a valid record."""

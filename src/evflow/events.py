@@ -19,10 +19,11 @@ from __future__ import annotations
 import enum
 import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
+from .config import open_text
 from .errors import (
     BadMagic,
     EvflowError,
@@ -185,6 +186,8 @@ def decode_stream(blob: bytes) -> EventStream:
     body = len(blob) - HEADER_SIZE
     if body % RECORD_SIZE:
         raise TruncatedRecord(f"payload of {body} bytes is not a multiple of {RECORD_SIZE}")
+    if not (width and height):
+        raise BadMagic(f"sensor sides must be positive, got {width}x{height}")
     geom = SensorGeometry(width, height)
     rec = np.frombuffer(blob, dtype=_RECORD_DTYPE, offset=HEADER_SIZE)
     # field views on a 13-byte packed dtype are strided; copy them out once
@@ -244,33 +247,23 @@ def concat_streams(parts: Iterable[EventStream]) -> EventStream:
     )
 
 
-def write_csv(s: EventStream, f: Union[str, io.IOBase]) -> None:
+def write_csv(s: EventStream, f: Union[str, IO[str]]) -> None:
     """Write the CSV form (header t_us,x,y,p). Geometry is not stored."""
     cols = np.column_stack(
         [s.t.astype(np.uint64), s.x.astype(np.uint64), s.y.astype(np.uint64), s.p.astype(np.uint64)]
     )
-    own = isinstance(f, str)
-    fh = open(f, "w") if own else f
-    try:
+    with open_text(f, "w") as fh:
         fh.write("t_us,x,y,p\n")
         np.savetxt(fh, cols, fmt="%d", delimiter=",")
-    finally:
-        if own:
-            fh.close()
 
 
-def read_csv(f: Union[str, io.IOBase], geometry: SensorGeometry) -> EventStream:
+def read_csv(f: Union[str, IO[str]], geometry: SensorGeometry) -> EventStream:
     """Read the CSV form; the caller supplies the sensor geometry."""
-    own = isinstance(f, str)
-    fh = open(f, "r") if own else f
-    try:
+    with open_text(f) as fh:
         header = fh.readline().strip()
         if header != "t_us,x,y,p":
             raise BadMagic(f"expected CSV header 't_us,x,y,p', got {header!r}")
         body = fh.read()
-    finally:
-        if own:
-            fh.close()
     if not body.strip():
         return EventStream.empty(geometry)
     data = np.loadtxt(io.StringIO(body), dtype=np.uint64, delimiter=",", ndmin=2)

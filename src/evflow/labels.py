@@ -8,7 +8,8 @@ one-to-one to the best remaining ground truth at or above the IoU
 threshold; average precision is the exact area under the precision
 envelope over recall (all-point interpolation).
 
-CSV schemas:
+CSV schemas (written in this column order; read in any order, with
+extra columns ignored):
     labels:      frame_idx,track_id,x,y,w,h
     detections:  frame_idx,class_id,confidence,x,y,w,h
 """
@@ -16,15 +17,15 @@ CSV schemas:
 from __future__ import annotations
 
 import csv
-import io
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass
+from typing import IO, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import NoGroundTruth
+from .config import open_text, read_table
+from .errors import BadRow, NoGroundTruth
 
 
 @dataclass(frozen=True)
@@ -194,14 +195,7 @@ class EvalReport:
     iou_thresh: float
 
     def to_dict(self) -> dict:
-        return {
-            "ap": self.ap,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "n_gt": self.n_gt,
-            "iou_thresh": self.iou_thresh,
-        }
+        return asdict(self)
 
 
 def _match_all(
@@ -280,72 +274,47 @@ def densify_tracks(
 # --- CSV I/O ---
 
 
-def write_labels_csv(tracks: Iterable[Track], f: Union[str, io.IOBase]) -> None:
-    own = isinstance(f, str)
-    fh = open(f, "w", newline="") if own else f
-    try:
+def write_labels_csv(tracks: Iterable[Track], f: Union[str, IO[str]]) -> None:
+    with open_text(f, "w") as fh:
         w = csv.writer(fh)
         w.writerow(["frame_idx", "track_id", "x", "y", "w", "h"])
         for t in tracks:
             for kf in t.keyframes:
                 b = kf.box
                 w.writerow([kf.frame_idx, t.track_id, b.x, b.y, b.w, b.h])
-    finally:
-        if own:
-            fh.close()
 
 
-def load_labels_csv(f: Union[str, io.IOBase]) -> List[Track]:
-    own = isinstance(f, str)
-    fh = open(f, "r", newline="") if own else f
-    try:
-        rows = list(csv.DictReader(fh))
-    finally:
-        if own:
-            fh.close()
+def load_labels_csv(f: Union[str, IO[str]]) -> List[Track]:
+    rows = read_table(
+        f,
+        ("frame_idx", "track_id", "x", "y", "w", "h"),
+        lambda i, tid, *xywh: (tid, Keyframe(int(i), BBox(*map(float, xywh)))),
+    )
     per_track: Dict[str, List[Keyframe]] = defaultdict(list)
-    for r in rows:
-        per_track[r["track_id"]].append(
-            Keyframe(
-                int(r["frame_idx"]),
-                BBox(float(r["x"]), float(r["y"]), float(r["w"]), float(r["h"])),
-            )
-        )
+    for tid, kf in rows:
+        per_track[tid].append(kf)
     tracks = []
     for tid, kfs in per_track.items():
         kfs.sort(key=lambda k: k.frame_idx)
-        tracks.append(Track(tid, tuple(kfs)))
+        try:
+            tracks.append(Track(tid, tuple(kfs)))
+        except ValueError:
+            raise BadRow(f"track {tid!r} has two keyframes on one frame") from None
     return tracks
 
 
-def write_detections_csv(dets: Iterable[Detection], f: Union[str, io.IOBase]) -> None:
-    own = isinstance(f, str)
-    fh = open(f, "w", newline="") if own else f
-    try:
+def write_detections_csv(dets: Iterable[Detection], f: Union[str, IO[str]]) -> None:
+    with open_text(f, "w") as fh:
         w = csv.writer(fh)
         w.writerow(["frame_idx", "class_id", "confidence", "x", "y", "w", "h"])
         for d in dets:
             b = d.box
             w.writerow([d.frame_idx, d.class_id, d.confidence, b.x, b.y, b.w, b.h])
-    finally:
-        if own:
-            fh.close()
 
 
-def load_detections_csv(f: Union[str, io.IOBase]) -> List[Detection]:
-    own = isinstance(f, str)
-    fh = open(f, "r", newline="") if own else f
-    try:
-        rows = list(csv.DictReader(fh))
-    finally:
-        if own:
-            fh.close()
-    return [
-        Detection(
-            int(r["frame_idx"]),
-            BBox(float(r["x"]), float(r["y"]), float(r["w"]), float(r["h"])),
-            float(r["confidence"]),
-            int(r["class_id"]),
-        )
-        for r in rows
-    ]
+def load_detections_csv(f: Union[str, IO[str]]) -> List[Detection]:
+    return read_table(
+        f,
+        ("frame_idx", "class_id", "confidence", "x", "y", "w", "h"),
+        lambda i, cls, conf, *xywh: Detection(int(i), BBox(*map(float, xywh)), float(conf), int(cls)),
+    )

@@ -43,16 +43,19 @@ def read_netpbm(blob: bytes) -> np.ndarray:
             pos += 1
         if start == pos:
             raise TruncatedRecord("incomplete netpbm header")
+        if not blob[start:pos].isdigit():
+            raise BadMagic(f"expected a decimal header field, got {bytes(blob[start:pos])!r}")
         fields.append(int(blob[start:pos]))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:
-        raise ValueError(f"only maxval 255 supported, got {maxval}")
+        raise BadMagic(f"only maxval 255 supported, got {maxval}")
     channels = 1 if magic == b"P5" else 3
     need = w * h * channels
-    data = np.frombuffer(blob, dtype=np.uint8, count=-1, offset=pos)
-    if data.size != need:
-        raise TruncatedRecord(f"expected {need} pixel bytes, got {data.size}")
+    got = max(len(blob) - pos, 0)
+    if got != need:
+        raise TruncatedRecord(f"expected {need} pixel bytes, got {got}")
+    data = np.frombuffer(blob, dtype=np.uint8, count=need, offset=pos)
     if channels == 1:
         return data.reshape(h, w).copy()
     return data.reshape(h, w, 3).copy()

@@ -1,14 +1,14 @@
-"""Accumulate -> detect pipeline with blocking backpressure.
+"""Accumulate -> detect pipeline with a bounded read-ahead.
 
 One producer turns the event stream into polarity frames window by
 window; one consumer gathers batches and runs the detector. By default
-the producer runs in a worker thread and hands frames over through a
-bounded queue; when the queue is full the producer waits for the
-detector. The pipeline is therefore lossless: every window is inferred,
-and queue_capacity bounds only the frames held in memory, never the
-output. Setting EVFLOW_THREADS=1 (or threads=1) runs both stages in one
-thread; detections are identical for any thread count, batch size and
-capacity, only the timing metrics differ.
+the producer runs on a one-thread ThreadPoolExecutor that computes up to
+queue_capacity frames ahead of the consumer, and the next frame only when
+the consumer takes one. The pipeline is therefore lossless: every window
+is inferred, and queue_capacity bounds only the frames held in memory,
+never the output. Setting EVFLOW_THREADS=1 (or threads=1) runs both
+stages in one thread; detections are identical for any thread count,
+batch size and capacity, only the timing metrics differ.
 
 The stub detector stands in for a learned model: it thresholds the
 activity grid, labels 4-connected components, and emits one detection per
@@ -20,9 +20,9 @@ through the same evaluation path.
 from __future__ import annotations
 
 import os
-import queue
-import threading
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -41,9 +41,7 @@ STUB_DETECTOR = "stub"
 ENV_THREADS = "EVFLOW_THREADS"
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-# how often a producer blocked on a full queue checks whether the consumer has gone
-_PUT_POLL_S = 0.05
-_END = object()  # end of stream on the hand-off queue
+_END = object()  # end of stream from the read-ahead worker
 
 DetectorFn = Callable[[Sequence[PolarityFrame]], List[List[Detection]]]
 
@@ -55,7 +53,7 @@ class PipelineConfig:
     detector: str = STUB_DETECTOR             # "stub" or path to a detections CSV
     downscale_to: Optional[Tuple[int, int]] = None
     # frames held between producer and detector, default 2 * batch_size;
-    # bounds memory only, since a full queue makes the producer wait
+    # bounds memory only, since the producer waits once it is that far ahead
     queue_capacity: Optional[int] = None
     stub_min_area: int = 8                    # pixels^2
     stub_activity_thresh: int = 1             # counts
@@ -96,7 +94,7 @@ def pipeline_from_config(values: Dict[str, str]) -> PipelineConfig:
 class PipelineMetrics:
     frames_produced: int = 0
     frames_inferred: int = 0
-    frames_dropped: int = 0                   # always 0: the hand-off never drops
+    frames_dropped: int = 0                   # always 0: the read-ahead never drops
     stage_latency_ms: Dict[str, Dict[str, float]] = field(default_factory=dict)
     throughput_fps: float = 0.0
 
@@ -180,44 +178,23 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return threads
 
 
-def _handoff(frames: Iterator[PolarityFrame], capacity: int) -> Iterator[PolarityFrame]:
+def _read_ahead(frames: Iterator[PolarityFrame], capacity: int) -> Iterator[PolarityFrame]:
     """Yield the frames of `frames`, computed ahead in a worker thread.
 
-    The worker hands frames over through a queue of `capacity` slots and
-    waits while it is full, so nothing is dropped. Closing this generator
-    stops and joins the worker; an error in the worker re-raises here.
+    The worker runs at most `capacity` frames ahead of the consumer and
+    starts the next one only when the consumer takes one, so nothing is
+    dropped. An error in the worker re-raises here, after the frames made
+    before it; closing this generator cancels the pending frames and joins
+    the worker.
     """
-    slots: queue.Queue = queue.Queue(maxsize=capacity)
-    stop = threading.Event()
-    error: List[BaseException] = []
-
-    def put(item) -> bool:
-        while not stop.is_set():
-            try:
-                slots.put(item, timeout=_PUT_POLL_S)
-                return True
-            except queue.Full:
-                pass
-        return False
-
-    def produce() -> None:
-        try:
-            for frame in frames:
-                if not put(frame):
-                    return
-        except BaseException as exc:  # surface in the consumer, don't hang it
-            error.append(exc)
-        put(_END)
-
-    worker = threading.Thread(target=produce, name="evflow-accumulate")
-    worker.start()
+    pool = ThreadPoolExecutor(1, thread_name_prefix="evflow-accumulate")
     try:
-        yield from iter(slots.get, _END)
+        ahead = deque(pool.submit(next, frames, _END) for _ in range(capacity))
+        while (frame := ahead.popleft().result()) is not _END:
+            ahead.append(pool.submit(next, frames, _END))
+            yield frame
     finally:
-        stop.set()
-        worker.join()
-    if error:
-        raise error[0]
+        pool.shutdown(cancel_futures=True)
 
 
 def run_pipeline(
@@ -269,7 +246,7 @@ def run_pipeline(
         for dets in per_frame:
             detections.extend(dets)
 
-    frames = produce() if threads == 1 else _handoff(produce(), capacity)
+    frames = produce() if threads == 1 else _read_ahead(produce(), capacity)
     with closing(frames):
         batch: List[PolarityFrame] = []
         for frame in frames:
@@ -309,7 +286,7 @@ def run_pipeline(
 def offline_detections(
     events: EventStream, cfg: PipelineConfig, detector_fn: Optional[DetectorFn] = None
 ) -> List[Detection]:
-    """Reference path: frame_sequence -> detector, batch by batch, no queue."""
+    """Reference path: frame_sequence -> detector, batch by batch, no read-ahead."""
     cfg.validated_capacity()
     if detector_fn is None:
         detector_fn = lambda b: stub_detector(b, cfg.stub_min_area, cfg.stub_activity_thresh)

@@ -263,6 +263,45 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["accumulate", "--events", "e.evb1", "--out-dir", "o", "--downscale", "10x10"],
+    ["accumulate", "--events", "e.evb1", "--out-dir", "o", "--downscale", "2"],
+    ["accumulate", "--events", "e.evb1", "--out-dir", "o", "--downscale", "0,0"],
+    ["bench", "--latency-table", "t.csv", "--batch-sizes", "1,x"],
+    ["bench", "--latency-table", "t.csv", "--batch-sizes", "0"],
+    ["bench", "--latency-table", "t.csv", "--trace", "1=p.csv:abc"],
+    ["bench", "--latency-table", "t.csv", "--window", "a:b"],
+    ["bench", "--latency-table", "t.csv", "--frame-period-us", "0"],
+    ["sync", "--events", "e.evb1", "--frames-dir", "d", "--frame-period-us", "0"],
+    ["sync", "--events", "e.evb1", "--frames-dir", "d", "--frame-period-us", "1",
+     "--max-offset", "-1"],
+    ["eval", "--detections", "d.csv", "--truth", "t.csv", "--iou", "0"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_malformed_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].startswith(f"evflow {argv[0]}: error: argument {argv[-2]}:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("header,row", [
+    ("frame_idx,class_id,confidence,x,y,w,h", "0,0,1.5,10,10,20,20"),  # confidence > 1
+    ("frame_idx,class_id,confidence,x,y,w,h", "0,0,0.9,ten,10,20,20"),  # not a number
+    ("frame_idx,class_id,x,y,w,h", "0,0,10,10,20,20"),                  # no confidence column
+])
+def test_eval_malformed_detections_exit_1(tmp_path, capsys, header, row):
+    dets = tmp_path / "dets.csv"
+    dets.write_text(f"{header}\n{row}\n")
+    truth = tmp_path / "truth.csv"
+    write_labels_csv([Track("a", (Keyframe(0, BBox(10, 10, 20, 20)),))], str(truth))
+    code, _, err = run_cli(capsys, "eval", "--detections", str(dets), "--truth", str(truth))
+    assert code == 1
+    assert err.startswith("error: BadRow: line ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,0 +1,137 @@
+"""Input files reach the toolkit as a value or a typed EvflowError, never another exception.
+
+Unit tests pin the CSV table reader and the binary headers; Hypothesis
+properties then feed arbitrary text to every CSV loader and arbitrary
+bytes to every binary reader.
+"""
+
+import io
+import re
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evflow.bench import load_latency_table, load_power_trace
+from evflow.config import read_table
+from evflow.errors import BadMagic, BadRow, EvflowError
+from evflow.events import EVB1_MAGIC, decode_stream
+from evflow.frames import PFR1_MAGIC, read_pfr1
+from evflow.labels import BBox, Detection, load_detections_csv, load_labels_csv
+from evflow.netpbm import read_netpbm
+
+
+def table(text):
+    return read_table(io.StringIO(text), ("a", "b"), lambda a, b: (int(a), float(b)))
+
+
+# --- the table reader ---
+
+
+def test_read_table_takes_columns_in_any_order_and_ignores_extras():
+    assert table("extra,b,a\nz,0.5,1\n\n x ,2.5,3\n") == [(1, 0.5), (3, 2.5)]
+
+
+def test_read_table_empty_input_is_an_empty_table():
+    assert table("") == []
+    assert table("a,b\n") == []
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a\n1\n", "line 1: missing column(s) b"),
+    ("a,b\n1,2\n3\n", "line 3: 1 of 2 fields"),
+    ("a,b\n1,2\n1.5,2\n", "line 3: invalid literal for int()"),
+    ("a,b\n1," + "9" * 140_000 + "\n", "line 2: field larger than field limit"),
+])
+def test_read_table_bad_row_names_its_line(text, message):
+    with pytest.raises(BadRow, match=re.escape(message)):
+        table(text)
+
+
+def test_labels_repeated_keyframe_is_bad_row():
+    text = "frame_idx,track_id,x,y,w,h\n3,a,0,0,1,1\n3,a,5,5,1,1\n"
+    with pytest.raises(BadRow, match="track 'a'"):
+        load_labels_csv(io.StringIO(text))
+
+
+def test_detections_read_in_any_column_order():
+    text = "h,w,y,x,confidence,class_id,frame_idx,note\n4,3,2,1,0.5,7,9,hi\n"
+    assert load_detections_csv(io.StringIO(text)) == [Detection(9, BBox(1, 2, 3, 4), 0.5, 7)]
+
+
+@pytest.mark.parametrize("row", ["0,50", "1,0", "1,-5", "1,nan"])
+def test_latency_table_rejects_impossible_rows(row):
+    with pytest.raises(BadRow):
+        load_latency_table(io.StringIO(f"batch_size,latency_ms\n{row}\n"))
+
+
+# --- binary headers ---
+
+
+@pytest.mark.parametrize("blob", [
+    b"P5\nab 2\n255\n",             # non-numeric width
+    b"P5\n-1 -1\n255\n\x00",        # negative sides
+    b"P5\n1 1\n65535\n\x00\x00",   # 16-bit samples
+])
+def test_netpbm_unsupported_header_is_bad_magic(blob):
+    with pytest.raises(BadMagic):
+        read_netpbm(blob)
+
+
+def test_evb1_zero_side_is_bad_magic():
+    with pytest.raises(BadMagic):
+        decode_stream(b"EVB1\x00\x00\x04\x00")
+
+
+# --- properties: any input yields a value or an EvflowError ---
+
+
+def value_or_typed_error(read, arg):
+    try:
+        read(arg)
+    except EvflowError:
+        pass
+
+
+# Any of the first 256 code points (decoded bytes: full-Unicode text costs
+# Hypothesis a 1.6 s table build per session), or comma-separated rows of
+# short numeric-looking fields, so that rows often reach the record types.
+FIELD = st.sampled_from(["0", "1", "-1", "0.5", "1.5", "nan", "inf", "1e999"]) | st.text(
+    alphabet="0123456789.-+e nanif\"\u0663", max_size=8
+)
+CSV_TEXT = st.binary().map(lambda b: b.decode("latin-1")) | st.lists(
+    st.lists(FIELD, max_size=8).map(",".join), max_size=6
+).map("\n".join)
+
+
+@pytest.mark.parametrize("load,header", [
+    (load_labels_csv, "frame_idx,track_id,x,y,w,h\n"),
+    (load_detections_csv, "frame_idx,class_id,confidence,x,y,w,h\n"),
+    (load_power_trace, "t_s,voltage_v,current_a\n"),
+    (load_latency_table, "batch_size,latency_ms\n"),
+], ids=["labels", "detections", "power_trace", "latency_table"])
+@settings(max_examples=100)
+@given(with_header=st.booleans(), body=CSV_TEXT)
+def test_csv_loaders_raise_only_typed_errors(load, header, with_header, body):
+    value_or_typed_error(load, io.StringIO(header + body if with_header else body))
+
+
+SIDE = st.integers(0, 0xFFFF)
+HEADER_FIELD = st.integers(-1, 70_000)
+
+
+# each reader gets arbitrary bytes, alone or after a well-formed header of arbitrary values
+@pytest.mark.parametrize("read,header", [
+    (decode_stream, st.tuples(SIDE, SIDE).map(lambda v: EVB1_MAGIC + struct.pack("<HH", *v))),
+    (read_pfr1, st.tuples(SIDE, SIDE, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)).map(
+        lambda v: PFR1_MAGIC + struct.pack("<HHQQ", *v))),
+    (read_netpbm, st.sampled_from([b"P5 ", b"P6 "]) | st.tuples(
+        st.sampled_from(["P5", "P6"]), HEADER_FIELD, HEADER_FIELD, HEADER_FIELD
+    ).map(lambda v: "{} {} {} {}\n".format(*v).encode())),
+], ids=["evb1", "pfr1", "netpbm"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_binary_readers_raise_only_typed_errors(read, header, data):
+    prefix = data.draw(st.just(b"") | header)
+    value_or_typed_error(read, prefix + data.draw(st.binary()))

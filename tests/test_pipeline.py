@@ -190,7 +190,7 @@ def test_pipeline_slow_detector_loses_nothing(batch, capacity):
 
 
 def accumulate_workers():
-    return [t for t in threading.enumerate() if t.name == "evflow-accumulate"]
+    return [t for t in threading.enumerate() if t.name.startswith("evflow-accumulate")]
 
 
 def test_pipeline_detector_error_stops_worker():
