@@ -20,7 +20,7 @@ class TruncatedRecord(EvflowError):
 
 
 class OutOfBounds(EvflowError):
-    """Event coordinates exceed the sensor geometry."""
+    """Event coordinates exceed the sensor geometry, or polarity is not 0 or 1."""
 
 
 class NonMonotonic(EvflowError):

@@ -74,19 +74,18 @@ class ValidationReport:
 
 
 def _first_violation(
-    geometry: SensorGeometry, t: np.ndarray, x: np.ndarray, y: np.ndarray
+    geometry: SensorGeometry, t: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarray
 ) -> Optional[EvflowError]:
     """The stream-invariant violation with the lowest index (NonMonotonic on a tie), or None."""
     bad = np.flatnonzero(t[1:] < t[:-1])
-    oob = np.flatnonzero((x >= geometry.width) | (y >= geometry.height))
+    oob = np.flatnonzero((x >= geometry.width) | (y >= geometry.height) | (p > 1))
     i = int(bad[0]) + 1 if bad.size else t.size
     j = int(oob[0]) if oob.size else t.size
     if i < t.size and i <= j:
         return NonMonotonic(f"timestamp decreases at index {i}: {t[i]} < {t[i - 1]}")
     if j < t.size:
-        return OutOfBounds(
-            f"event at index {j}: ({x[j]}, {y[j]}) outside {geometry.width}x{geometry.height}"
-        )
+        return OutOfBounds(f"event at index {j}: ({x[j]}, {y[j]}) p={p[j]} outside "
+                           f"{geometry.width}x{geometry.height}, p in {{0, 1}}")
     return None
 
 
@@ -108,7 +107,7 @@ class EventStream:
         if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
             raise ValueError("event columns must be equal-length 1D arrays")
         if check:
-            violation = _first_violation(geometry, t, x, y)
+            violation = _first_violation(geometry, t, x, y, p)
             if violation is not None:
                 raise violation
         for arr in (t, x, y, p):
@@ -121,17 +120,6 @@ class EventStream:
 
     def __setattr__(self, name, value):
         raise AttributeError("EventStream is immutable")
-
-    @classmethod
-    def from_events(cls, geometry: SensorGeometry, events: Iterable[Event]) -> "EventStream":
-        evs = list(events)
-        return cls(
-            geometry,
-            [e.t for e in evs],
-            [e.x for e in evs],
-            [e.y for e in evs],
-            [int(e.p) for e in evs],
-        )
 
     @classmethod
     def empty(cls, geometry: SensorGeometry) -> "EventStream":
@@ -213,7 +201,7 @@ def encode_stream(s: EventStream) -> bytes:
 
 def validate(s: EventStream) -> ValidationReport:
     """Check stream invariants, reporting the first violation instead of raising."""
-    violation = _first_violation(s.geometry, s.t, s.x, s.y)
+    violation = _first_violation(s.geometry, s.t, s.x, s.y, s.p)
     if violation is None:
         return ValidationReport(True)
     return ValidationReport(False, f"{type(violation).__name__}: {violation}")

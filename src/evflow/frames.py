@@ -9,6 +9,11 @@ window_frames is the one cutter of the window grid [k*T, (k+1)*T): one
 search finds every edge, then frames are made lazily. The pipeline, sync
 and the CLI all read their frames from it.
 
+area_sum is the one resampler, for downscale and sync. Output cell j of n_out
+overlaps input cell i of n_in by an integer count of 1/n_out input cells, so
+each output cell is S / D: S an integer-weighted band sum, D = h*w. downscale
+rounds exactly half up as (2S + D) // (2D).
+
 Frame dump format PFR1 (little-endian):
 
     magic "PFR1" | width u16 | height u16 | t0 u64 | duration u64
@@ -17,10 +22,12 @@ Frame dump format PFR1 (little-endian):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InvalidWindow, TruncatedRecord, UpscaleUnsupported, BadMagic
 from .events import EventStream, slice_interval
@@ -125,35 +132,39 @@ def render_rgb(f: PolarityFrame) -> np.ndarray:
     return img
 
 
-def _overlap_weights(n_in: int, n_out: int) -> np.ndarray:
-    """(n_out, n_in) row-stochastic matrix of interval overlaps for area averaging."""
-    scale = n_in / n_out
+@functools.lru_cache(maxsize=16)
+def _band_weights(n_in: int, n_out: int) -> sparse.csr_matrix:
+    """(n_out, n_in) int64 overlaps of output with input cells, times n_out. Rows
+    sum to n_in, columns to n_out. The cached matrix is shared: do not modify it."""
     j = np.arange(n_out)[:, None]
-    i = np.arange(n_in)[None, :]
-    overlap = np.minimum((j + 1) * scale, i + 1) - np.maximum(j * scale, i)
-    return np.maximum(overlap, 0.0) / scale
+    i = j * n_in // n_out + np.arange(-(-n_in // n_out) + 1)  # each row's band of inputs
+    overlap = np.minimum((j + 1) * n_in, (i + 1) * n_out) - np.maximum(j * n_in, i * n_out)
+    keep = overlap > 0  # also drops band cells past the last input
+    rows = np.broadcast_to(j, i.shape)[keep]
+    return sparse.csr_matrix((overlap[keep], (rows, i[keep])), shape=(n_out, n_in))
 
 
-def area_average(grid: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Exact area-weighted average resize of a 2D grid, as float64."""
+def area_sum(grid: np.ndarray, out_w: int, out_h: int) -> Tuple[np.ndarray, int]:
+    """Area-weighted resize of a 2D grid as (S, D), the average being S / D.
+
+    S = Wr @ grid @ Wc.T over integer band weights (int64 and exact for an
+    integer grid, float64 for a float grid) and D = h*w.
+    """
     h, w = grid.shape
-    wr = _overlap_weights(h, out_h)
-    wc = _overlap_weights(w, out_w)
-    return wr @ grid.astype(np.float64) @ wc.T
+    return _band_weights(h, out_h) @ grid @ _band_weights(w, out_w).T, h * w
 
 
 def downscale(f: PolarityFrame, out_w: int, out_h: int) -> PolarityFrame:
-    """Area-averaged resize of both channels, rounded half-up, saturated at 255."""
+    """Area-averaged resize of both channels, saturated at 255: area_sum's
+    exact average S / D rounded half up in integers as (2S + D) // (2D)."""
     if out_w > f.width or out_h > f.height:
-        raise UpscaleUnsupported(
-            f"requested {out_w}x{out_h} from {f.width}x{f.height}"
-        )
+        raise UpscaleUnsupported(f"requested {out_w}x{out_h} from {f.width}x{f.height}")
     if out_w <= 0 or out_h <= 0:
         raise ValueError("output dimensions must be positive")
     chans = []
     for ch in (f.pos, f.neg):
-        avg = area_average(ch, out_w, out_h)
-        chans.append(np.minimum(np.floor(avg + 0.5), SATURATION).astype(np.uint8))
+        s, d = area_sum(ch, out_w, out_h)  # s is Fortran-ordered; frames are C-ordered
+        chans.append(np.minimum((2 * s + d) // (2 * d), SATURATION).astype(np.uint8, order="C"))
     return PolarityFrame(out_w, out_h, f.t0, f.duration, chans[0], chans[1])
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientOverlap, ShapeMismatch, ZeroVariance
 from .events import EventStream
-from .frames import activity, area_average, window_frames
+from .frames import activity, area_sum, window_frames
 
 log = logging.getLogger(__name__)
 
@@ -121,10 +121,10 @@ def find_offset(
 def event_activity_sequence(
     s: EventStream, frame_period: int, n_frames: int | None = None
 ) -> List[np.ndarray]:
-    """Per-window activity grids of windows 0..n_frames-1 (default: through
-    the last event's window), as float64."""
+    """Per-window uint16 activity grids of windows 0..n_frames-1 (default:
+    through the last event's window)."""
     last = None if n_frames is None else n_frames - 1
-    return [activity(f).astype(np.float64) for f in window_frames(s, frame_period, 0, last)]
+    return [activity(f) for f in window_frames(s, frame_period, 0, last)]
 
 
 def gray_activity_sequence(seq: GrayFrameSequence) -> List[np.ndarray]:
@@ -137,6 +137,7 @@ def gray_activity_sequence(seq: GrayFrameSequence) -> List[np.ndarray]:
 def to_common_raster(
     grids: Sequence[np.ndarray], raster: Tuple[int, int] = COMMON_RASTER
 ) -> List[np.ndarray]:
-    """Area-average every grid onto (width, height) = raster."""
+    """Area-average every grid onto (width, height) = raster as float64 S / D,
+    from area_sum's integer band weights (S exact for an integer grid)."""
     w, h = raster
-    return [area_average(g, w, h) for g in grids]
+    return [s / d for s, d in (area_sum(g, w, h) for g in grids)]

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -216,6 +217,16 @@ def test_data_error_exits_1(tmp_path, capsys):
                            "--out-dir", str(tmp_path / "x"))
     assert code == 1
     assert err.startswith("error: BadMagic:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_accumulate_polarity_above_one_exits_1(tmp_path, capsys):
+    ev = tmp_path / "p2.evb1"  # 16x16, one event of polarity 2
+    ev.write_bytes(b"EVB1" + struct.pack("<HHQHHB", 16, 16, 5, 3, 4, 2))
+    code, _, err = run_cli(capsys, "accumulate", "--events", str(ev),
+                           "--out-dir", str(tmp_path / "x"))
+    assert code == 1
+    assert err.startswith("error: OutOfBounds: event at index 0: (3, 4) p=2")
     assert len(err.strip().splitlines()) == 1
 
 

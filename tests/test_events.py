@@ -130,6 +130,14 @@ def test_lowest_index_violation_wins_in_decode_and_validate():
     assert rep.violation.startswith("OutOfBounds") and "index 1" in rep.violation
 
 
+def test_polarity_above_one_is_out_of_bounds_in_decode_and_validate():
+    geom = SensorGeometry(16, 16)
+    with pytest.raises(OutOfBounds, match="index 1: .* p=2"):
+        decode_stream(header(16, 16) + record(1, 3, 4, 1) + record(2, 3, 4, 2))
+    rep = validate(EventStream(geom, [1, 2], [3, 3], [4, 4], [1, 2], check=False))
+    assert rep.violation.startswith("OutOfBounds") and "index 1" in rep.violation
+
+
 def test_decode_output_always_validates():
     # validation soundness: anything decode accepts, validate accepts
     for seed in range(5):

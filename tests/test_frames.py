@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evflow.errors import InvalidWindow, UpscaleUnsupported
 from evflow.events import EventStream, SensorGeometry
@@ -7,7 +12,7 @@ from evflow.frames import (
     PolarityFrame,
     accumulate,
     activity,
-    area_average,
+    area_sum,
     downscale,
     frame_sequence,
     read_pfr1,
@@ -15,7 +20,8 @@ from evflow.frames import (
     window_frames,
     write_pfr1,
 )
-from evflow.frames import _overlap_weights
+from evflow.frames import _band_weights
+from evflow.sync import to_common_raster
 
 HD = SensorGeometry(1280, 720)
 SMALL = SensorGeometry(64, 48)
@@ -147,20 +153,86 @@ def test_window_frames_explicit_range_on_empty_stream():
 
 
 def loop_overlap_weights(n_in, n_out):
-    """The double loop _overlap_weights replaced, kept as an exact oracle."""
-    scale = n_in / n_out
-    out = np.zeros((n_out, n_in))
+    """Exact overlaps, in input cells, of output cell j with input cell i, by a double loop."""
+    scale = Fraction(n_in, n_out)
+    out = [[Fraction(0)] * n_in for _ in range(n_out)]
     for j in range(n_out):
         start, end = j * scale, (j + 1) * scale
-        i0, i1 = int(np.floor(start)), int(np.ceil(end))
-        for i in range(i0, min(i1, n_in)):
-            out[j, i] = min(end, i + 1) - max(start, i)
-    return out / scale
+        for i in range(math.floor(start), min(math.ceil(end), n_in)):
+            out[j][i] = min(end, i + 1) - max(start, i)
+    return out
 
 
 @pytest.mark.parametrize("n_in,n_out", [(1280, 640), (1280, 427), (13, 7)])
 def test_overlap_weights_equal_loop_oracle(n_in, n_out):
-    assert np.array_equal(_overlap_weights(n_in, n_out), loop_overlap_weights(n_in, n_out))
+    w = _band_weights(n_in, n_out)
+    assert w.dtype == np.int64
+    assert np.array_equal(w.toarray(), np.array(loop_overlap_weights(n_in, n_out)) * n_out)
+    assert (w.sum(axis=1) == n_in).all() and (w.sum(axis=0) == n_out).all()
+
+
+def dense_overlap_weights(n_in, n_out):
+    """(n_out, n_in) row-stochastic float matrix of interval overlaps."""
+    scale = n_in / n_out
+    j = np.arange(n_out)[:, None]
+    i = np.arange(n_in)[None, :]
+    overlap = np.minimum((j + 1) * scale, i + 1) - np.maximum(j * scale, i)
+    return np.maximum(overlap, 0.0) / scale
+
+
+def area_average(grid, out_w, out_h):
+    """The dense float64 resampler area_sum replaced, kept as the oracle: wr @ grid @ wc.T."""
+    h, w = grid.shape
+    wr, wc = dense_overlap_weights(h, out_h), dense_overlap_weights(w, out_w)
+    return wr @ grid.astype(np.float64) @ wc.T
+
+
+def fraction_downscale(grid, out_w, out_h):
+    """Area average in exact rationals, rounded half up, saturated at 255."""
+    h, w = grid.shape
+    wr = np.array(loop_overlap_weights(h, out_h), dtype=object)
+    wc = np.array(loop_overlap_weights(w, out_w), dtype=object)
+    area = Fraction(h, out_h) * Fraction(w, out_w)
+    avg = wr @ grid.astype(object) @ wc.T / area
+    return np.array([[min(int(a + Fraction(1, 2)), 255) for a in row] for row in avg])
+
+
+def frame_of(pos, neg=None):
+    neg = np.zeros_like(pos) if neg is None else neg
+    return PolarityFrame(pos.shape[1], pos.shape[0], 0, 1000, pos, neg)
+
+
+def test_downscale_rounds_exact_ties_half_up():
+    # the dense float path put this cell's exact average 104.5 just below .5 and gave 104
+    g = np.random.default_rng(18).integers(0, 256, (10, 10)).astype(np.uint8)
+    out = downscale(frame_of(g), 3, 3)
+    assert out.pos[2, 1] == 105
+    assert np.array_equal(out.pos, fraction_downscale(g, 3, 3))
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_downscale_equals_fraction_reference(data):
+    h, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    out_h, out_w = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+    cells = st.integers(0, 255) | st.sampled_from([0, 1, 254, 255])
+    g = np.array(data.draw(st.lists(cells, min_size=h * w, max_size=h * w)), dtype=np.uint8)
+    g = g.reshape(h, w)
+    out = downscale(frame_of(g, 255 - g), out_w, out_h)
+    assert np.array_equal(out.pos, fraction_downscale(g, out_w, out_h))
+    assert np.array_equal(out.neg, fraction_downscale(255 - g, out_w, out_h))
+
+
+@pytest.mark.parametrize("shape,raster", [((720, 1280), (320, 180)), ((48, 64), (17, 13))])
+@pytest.mark.parametrize("dtype", [np.uint16, np.float64])
+def test_common_raster_matches_dense_oracle(shape, raster, dtype):
+    g = np.random.default_rng(4).uniform(0, 510, shape).astype(dtype)
+    s, d = area_sum(g, *raster)
+    assert s.dtype == (np.int64 if dtype == np.uint16 else np.float64)
+    assert d == shape[0] * shape[1]
+    (r,) = to_common_raster([g], raster)
+    assert r.dtype == np.float64
+    assert np.abs(r - area_average(g, *raster)).max() <= 1e-12
 
 
 def test_render_all_zero_is_black():
@@ -217,9 +289,10 @@ def test_area_average_against_manual_windows():
     # integer 2x factor reduces to plain block means
     rng = np.random.default_rng(3)
     g = rng.integers(0, 255, (8, 8)).astype(np.float64)
-    out = area_average(g, 4, 4)
     manual = g.reshape(4, 2, 4, 2).mean(axis=(1, 3))
-    assert np.allclose(out, manual, atol=1e-12)
+    s, d = area_sum(g, 4, 4)
+    assert np.allclose(s / d, manual, atol=1e-12)
+    assert np.allclose(area_average(g, 4, 4), manual, atol=1e-12)
 
 
 def test_activity_zero_frame():

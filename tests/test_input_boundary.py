@@ -17,7 +17,7 @@ from evflow.bench import load_latency_table, load_power_trace
 from evflow.config import read_table
 from evflow.errors import BadMagic, BadRow, EvflowError
 from evflow.events import EVB1_MAGIC, decode_stream
-from evflow.frames import PFR1_MAGIC, read_pfr1
+from evflow.frames import PFR1_MAGIC, read_pfr1, window_frames
 from evflow.labels import BBox, Detection, load_detections_csv, load_labels_csv
 from evflow.netpbm import read_netpbm
 
@@ -135,3 +135,21 @@ HEADER_FIELD = st.integers(-1, 70_000)
 def test_binary_readers_raise_only_typed_errors(read, header, data):
     prefix = data.draw(st.just(b"") | header)
     value_or_typed_error(read, prefix + data.draw(st.binary()))
+
+
+# in-range coordinates and timestamps, so that most streams decode and reach accumulation
+@settings(max_examples=100)
+@given(data=st.data())
+def test_evb1_stream_that_decodes_also_accumulates(data):
+    w, h = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 16))
+    record = st.tuples(st.integers(0, 3_000), st.integers(0, w), st.integers(0, h),
+                       st.integers(0, 3))
+    records = sorted(data.draw(st.lists(record, max_size=20)))
+    blob = EVB1_MAGIC + struct.pack("<HH", w, h)
+    blob += b"".join(struct.pack("<QHHB", *r) for r in records)
+    try:
+        s = decode_stream(blob)
+    except EvflowError:
+        return
+    frames = list(window_frames(s, 1_000))
+    assert sum(int(f.pos.sum()) + int(f.neg.sum()) for f in frames) == len(s)

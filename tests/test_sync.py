@@ -171,6 +171,7 @@ def test_event_activity_sequence_builds_only_requested_windows():
         tracemalloc.stop()
     assert len(grids) == 2
     assert grids[0][1, 1] == 1.0 and grids[0].sum() == 1.0 and not grids[1].any()
+    assert grids[0].dtype == np.uint16
     assert peak < 5_000_000
 
 
