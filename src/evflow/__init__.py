@@ -1,26 +1,24 @@
 """evflow: event-camera detection pipeline toolkit.
 
-Event streams and serialization (events), a synthetic moving-disc oracle
-(synth), event-to-frame accumulation (frames), ZNCC temporal alignment
-(sync), cross-camera label transfer (geometry), keyframed annotations and
+EVB1 event streams (events), a synthetic moving-disc oracle (synth),
+event-to-frame accumulation (frames), ZNCC temporal alignment (sync),
+cross-camera label transfer (geometry), keyframed annotations and
 average-precision scoring (labels), power/batching analysis (bench), and
 the concurrent accumulate->detect pipeline (pipeline).
 """
 
-from .events import Event, EventStream, Polarity, SensorGeometry
-from .frames import PolarityFrame, accumulate, frame_sequence
+from .events import EventStream, Polarity, SensorGeometry
+from .frames import PolarityFrame, accumulate
 from .labels import BBox, Detection, Keyframe, Track
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Event",
     "EventStream",
     "Polarity",
     "SensorGeometry",
     "PolarityFrame",
     "accumulate",
-    "frame_sequence",
     "BBox",
     "Detection",
     "Keyframe",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import IO, Callable, Dict, List, Mapping, Sequence, Union
+from typing import IO, Dict, List, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -132,13 +132,10 @@ def energy_per_frame(
     return joules * 1e3 / frames_processed
 
 
-LatencySource = Union[Callable[[int], float], Mapping[int, float]]
-
-
 @dataclass(frozen=True)
 class BatchConfig:
     batch_size: int
-    inference_latency: LatencySource        # batch size -> seconds
+    inference_latency: Mapping[int, float]  # batch size -> seconds
     frame_period: int = DEFAULT_FRAME_PERIOD_US  # microseconds
 
     def __post_init__(self):
@@ -148,12 +145,9 @@ class BatchConfig:
             raise ValueError(f"frame_period must be positive, got {self.frame_period}")
 
     def latency_for(self, b: int) -> float:
-        if callable(self.inference_latency):
-            lat = float(self.inference_latency(b))
-        else:
-            if b not in self.inference_latency:
-                raise MissingInput(f"no inference latency for batch size {b}")
-            lat = float(self.inference_latency[b])
+        if b not in self.inference_latency:
+            raise MissingInput(f"no inference latency for batch size {b}")
+        lat = float(self.inference_latency[b])
         if lat <= 0:
             raise ValueError(f"inference latency must be positive, got {lat}")
         return lat
@@ -234,7 +228,7 @@ class BenchReport:
 
 def sweep_batches(
     batch_sizes: Sequence[int],
-    latency: LatencySource,
+    latency: Mapping[int, float],
     energy_inputs: Mapping[int, EnergyInput] | None = None,
     frame_period: int = DEFAULT_FRAME_PERIOD_US,
 ) -> BenchReport:

@@ -1,4 +1,4 @@
-"""Event records, streams, and serialization.
+"""Event streams and their EVB1 serialization.
 
 An event is one pixel-level brightness change: timestamp in microseconds,
 pixel coordinates, and a polarity (brighter / darker). Streams keep events
@@ -9,21 +9,16 @@ Binary format EVB1 (little-endian throughout):
 
     magic "EVB1" | width u16 | height u16 | N x record
     record (13 bytes): t u64 (microseconds) | x u16 | y u16 | p u8 (1/0)
-
-CSV alternative: header line ``t_us,x,y,p``, one event per row, same
-semantics. CSV carries no geometry, so readers must supply it.
 """
 
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .config import open_text
 from .errors import (
     BadMagic,
     EvflowError,
@@ -36,6 +31,7 @@ from .errors import (
 EVB1_MAGIC = b"EVB1"
 HEADER_SIZE = 8
 RECORD_SIZE = 13
+T_MAX = 2**64 - 1  # the largest u64 timestamp
 
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
 assert _RECORD_DTYPE.itemsize == RECORD_SIZE
@@ -44,16 +40,6 @@ assert _RECORD_DTYPE.itemsize == RECORD_SIZE
 class Polarity(enum.IntEnum):
     NEGATIVE = 0
     POSITIVE = 1
-
-
-@dataclass(frozen=True)
-class Event:
-    """One brightness-change record."""
-
-    t: int
-    x: int
-    y: int
-    p: Polarity
 
 
 @dataclass(frozen=True)
@@ -136,13 +122,6 @@ class EventStream:
     def __len__(self) -> int:
         return int(self.t.size)
 
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self)):
-            yield self[i]
-
-    def __getitem__(self, i: int) -> Event:
-        return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), Polarity(int(self.p[i])))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
@@ -211,48 +190,8 @@ def slice_interval(s: EventStream, t0: int, t1: int) -> EventStream:
     """Events with t0 <= t < t1 (half-open), order preserved."""
     if t0 > t1:
         raise InvalidInterval(f"t0={t0} > t1={t1}")
-    # uint64 keys: Python-int keys would convert the whole column to float64
-    keys = np.array([max(t0, 0), max(t1, 0)], dtype=np.uint64)
-    lo, hi = np.searchsorted(s.t, keys, side="left")
+    # uint64 keys: Python-int keys would convert the whole column to float64.
+    # A key past T_MAX bounds at len(s).
+    keys = np.array([min(max(t0, 0), T_MAX), min(max(t1, 0), T_MAX)], dtype=np.uint64)
+    lo, hi = np.where([t0 > T_MAX, t1 > T_MAX], len(s), np.searchsorted(s.t, keys, side="left"))
     return EventStream(s.geometry, s.t[lo:hi], s.x[lo:hi], s.y[lo:hi], s.p[lo:hi], check=False)
-
-
-def concat_streams(parts: Iterable[EventStream]) -> EventStream:
-    """Concatenate consecutive streams sharing one geometry."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    geom = parts[0].geometry
-    for p in parts[1:]:
-        if p.geometry != geom:
-            raise ValueError("geometry mismatch across parts")
-    return EventStream(
-        geom,
-        np.concatenate([p.t for p in parts]),
-        np.concatenate([p.x for p in parts]),
-        np.concatenate([p.y for p in parts]),
-        np.concatenate([p.p for p in parts]),
-    )
-
-
-def write_csv(s: EventStream, f: Union[str, IO[str]]) -> None:
-    """Write the CSV form (header t_us,x,y,p). Geometry is not stored."""
-    cols = np.column_stack(
-        [s.t.astype(np.uint64), s.x.astype(np.uint64), s.y.astype(np.uint64), s.p.astype(np.uint64)]
-    )
-    with open_text(f, "w") as fh:
-        fh.write("t_us,x,y,p\n")
-        np.savetxt(fh, cols, fmt="%d", delimiter=",")
-
-
-def read_csv(f: Union[str, IO[str]], geometry: SensorGeometry) -> EventStream:
-    """Read the CSV form; the caller supplies the sensor geometry."""
-    with open_text(f) as fh:
-        header = fh.readline().strip()
-        if header != "t_us,x,y,p":
-            raise BadMagic(f"expected CSV header 't_us,x,y,p', got {header!r}")
-        body = fh.read()
-    if not body.strip():
-        return EventStream.empty(geometry)
-    data = np.loadtxt(io.StringIO(body), dtype=np.uint64, delimiter=",", ndmin=2)
-    return EventStream(geometry, data[:, 0], data[:, 1], data[:, 2], data[:, 3])

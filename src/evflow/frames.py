@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from .errors import InvalidWindow, TruncatedRecord, UpscaleUnsupported, BadMagic
-from .events import EventStream, slice_interval
+from .events import T_MAX, EventStream, slice_interval
 
 PFR1_MAGIC = b"PFR1"
 SATURATION = 255
@@ -89,8 +89,8 @@ def accumulate(s: EventStream, t0: int, duration: int) -> PolarityFrame:
 
     Counting is order-independent and saturates each cell at 255.
     """
-    if duration <= 0:
-        raise InvalidWindow(f"integration window must be positive, got {duration}")
+    if not 0 < duration <= T_MAX:
+        raise InvalidWindow(f"integration window must be in 1..2^64-1 us, got {duration}")
     window = slice_interval(s, t0, t0 + duration)
     return _count_frame(window, 0, len(window), t0, duration)
 
@@ -104,21 +104,19 @@ def window_frames(
     with a default end an empty stream yields nothing. Windows without
     events yield all-zero frames.
     """
-    if duration <= 0:
-        raise InvalidWindow(f"integration window must be positive, got {duration}")
+    if not 0 < duration <= T_MAX:
+        raise InvalidWindow(f"integration window must be in 1..2^64-1 us, got {duration}")
     if len(s) == 0 and (first is None or last is None):
         return
     k0 = int(s.t[0] // duration) if first is None else first
     k1 = int(s.t[-1] // duration) if last is None else last
-    edges = np.arange(k0, k1 + 2, dtype=np.uint64) * np.uint64(duration)
-    bounds = np.searchsorted(s.t, edges, side="left")
+    # edges past T_MAX bound at len(s); one search finds all the others
+    fit = max(min(k1 + 1, T_MAX // duration) - k0 + 1, 0)
+    bounds = np.full(max(k1 - k0 + 2, 0), len(s))
+    edges = np.arange(k0, k0 + fit, dtype=np.uint64) * np.uint64(duration)
+    bounds[:fit] = np.searchsorted(s.t, edges, side="left")
     for i, k in enumerate(range(k0, k1 + 1)):
         yield _count_frame(s, int(bounds[i]), int(bounds[i + 1]), k * duration, duration)
-
-
-def frame_sequence(s: EventStream, duration: int) -> List[PolarityFrame]:
-    """Every frame of window_frames(s, duration) as a list. Empty stream -> []."""
-    return list(window_frames(s, duration))
 
 
 def render_rgb(f: PolarityFrame) -> np.ndarray:

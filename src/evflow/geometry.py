@@ -60,11 +60,6 @@ class Intrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got {self.fx}, {self.fy}")
 
-    def to_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass(frozen=True)
 class Distortion:

@@ -3,10 +3,11 @@
 Tracks hold sparse keyframes; boxes on frames in between come from linear
 interpolation of (x, y, w, h) by frame-index fraction. Outside the keyframe
 span a track has no box (no extrapolation). Scoring follows the usual
-greedy protocol: detections in descending confidence order, each matched
-one-to-one to the best remaining ground truth at or above the IoU
-threshold; average precision is the exact area under the precision
-envelope over recall (all-point interpolation).
+greedy protocol in one pass over all frames: detections in descending
+confidence order, each matched one-to-one to the best remaining ground
+truth of its frame at or above the IoU threshold; average precision is
+the exact area under the precision envelope over recall (all-point
+interpolation).
 
 CSV schemas (written in this column order; read in any order, with
 extra columns ignored):
@@ -132,59 +133,6 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-@dataclass
-class MatchResult:
-    tp: List[bool]          # aligned to the input detection order
-    gt_matched: List[bool]  # aligned to the input ground-truth order
-
-    @property
-    def n_tp(self) -> int:
-        return sum(self.tp)
-
-    @property
-    def n_fp(self) -> int:
-        return len(self.tp) - self.n_tp
-
-    @property
-    def n_fn(self) -> int:
-        return len(self.gt_matched) - sum(self.gt_matched)
-
-
-def match_detections(
-    dets: Sequence[Detection], gts: Sequence[BBox], iou_thresh: float
-) -> MatchResult:
-    """Greedy one-to-one matching for a single frame.
-
-    Detections are visited in descending confidence (ties keep input
-    order); each claims the unmatched ground truth with the highest IoU if
-    that IoU reaches the threshold.
-    """
-    if not 0.0 < iou_thresh <= 1.0:
-        raise ValueError(f"iou_thresh must be in (0, 1], got {iou_thresh}")
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
-    tp = [False] * len(dets)
-    taken = [False] * len(gts)
-    for i in order:
-        tp[i] = _claim(dets[i].box, gts, taken, iou_thresh)
-    return MatchResult(tp, taken)
-
-
-def _claim(box: BBox, gts: Sequence[BBox], taken: List[bool], iou_thresh: float) -> bool:
-    """One greedy step: box takes the untaken ground truth of highest IoU if
-    that IoU reaches iou_thresh. Returns whether it matched."""
-    best_j, best_iou = -1, 0.0
-    for j, g in enumerate(gts):
-        if taken[j]:
-            continue
-        v = iou(box, g)
-        if v > best_iou:
-            best_j, best_iou = j, v
-    if best_j >= 0 and best_iou >= iou_thresh:
-        taken[best_j] = True
-        return True
-    return False
-
-
 @dataclass(frozen=True)
 class EvalReport:
     ap: float
@@ -203,18 +151,31 @@ def _match_all(
     all_gts: Mapping[int, Sequence[BBox]],
     iou_thresh: float,
 ) -> Tuple[List[bool], int]:
-    """Global confidence-ranked TP flags across frames; returns (flags, n_gt).
+    """Greedy one-to-one matching across frames; returns (flags, n_gt).
 
-    A detection competes only for ground truth in its own frame, so this is
-    match_detections' greedy pass with one taken-list per frame.
+    Detections are visited in descending confidence (ties keep input
+    order); each takes the untaken ground truth of its own frame with the
+    highest IoU if that IoU reaches iou_thresh. flags[k] says whether the
+    k-th detection in that order matched.
     """
     n_gt = sum(len(v) for v in all_gts.values())
     order = sorted(range(len(all_dets)), key=lambda i: -all_dets[i].confidence)
-    taken: Dict[int, List[bool]] = {f: [False] * len(v) for f, v in all_gts.items()}
+    taken_by_frame: Dict[int, List[bool]] = {f: [False] * len(v) for f, v in all_gts.items()}
     flags = []
     for i in order:
-        f = all_dets[i].frame_idx
-        flags.append(_claim(all_dets[i].box, all_gts.get(f, ()), taken.get(f, []), iou_thresh))
+        box, f = all_dets[i].box, all_dets[i].frame_idx
+        gts, taken = all_gts.get(f, ()), taken_by_frame.get(f, [])
+        best_j, best_iou = -1, 0.0
+        for j, g in enumerate(gts):
+            if taken[j]:
+                continue
+            v = iou(box, g)
+            if v > best_iou:
+                best_j, best_iou = j, v
+        hit = best_j >= 0 and best_iou >= iou_thresh
+        if hit:
+            taken[best_j] = True
+        flags.append(hit)
     return flags, n_gt
 
 

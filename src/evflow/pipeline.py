@@ -33,7 +33,7 @@ from scipy import ndimage
 from .config import numbers
 from .errors import ConfigInvalid
 from .events import EventStream
-from .frames import PolarityFrame, activity, downscale, frame_sequence, window_frames
+from .frames import PolarityFrame, activity, downscale, window_frames
 from .geometry import CameraPair, transfer_tracks
 from .labels import BBox, Detection, EvalReport, Track, densify_tracks, evaluate_detections, load_detections_csv
 
@@ -281,20 +281,3 @@ def run_pipeline(
             }
         report = evaluate_detections(detections, gt_boxes, iou_thresh=0.5)
     return PipelineResult(detections, metrics, report, skipped)
-
-
-def offline_detections(
-    events: EventStream, cfg: PipelineConfig, detector_fn: Optional[DetectorFn] = None
-) -> List[Detection]:
-    """Reference path: frame_sequence -> detector, batch by batch, no read-ahead."""
-    cfg.validated_capacity()
-    if detector_fn is None:
-        detector_fn = lambda b: stub_detector(b, cfg.stub_min_area, cfg.stub_activity_thresh)
-    frames = frame_sequence(events, cfg.integration_window)
-    if cfg.downscale_to is not None:
-        frames = [downscale(f, *cfg.downscale_to) for f in frames]
-    detections: List[Detection] = []
-    for i in range(0, len(frames), cfg.batch_size):
-        for dets in detector_fn(frames[i : i + cfg.batch_size]):
-            detections.extend(dets)
-    return detections

@@ -174,7 +174,7 @@ def test_worst_case_increases_with_batch_size():
 
 def test_feasibility_monotone_under_sublinear_latency():
     # affine latency: L(B)/B is non-increasing, so feasibility cannot flip back
-    lat = lambda b: 0.05 + 0.01 * b
+    lat = {b: 0.05 + 0.01 * b for b in range(1, 20)}
     feas = [batching_latency(BatchConfig(b, lat)).realtime_feasible for b in range(1, 20)]
     assert not feas[0]
     first_true = feas.index(True)

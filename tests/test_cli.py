@@ -230,6 +230,16 @@ def test_accumulate_polarity_above_one_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_accumulate_window_past_uint64_exits_1(tmp_path, capsys):
+    ev = tmp_path / "one.evb1"
+    ev.write_bytes(b"EVB1" + struct.pack("<HHQHHB", 16, 16, 5, 3, 4, 1))
+    code, _, err = run_cli(capsys, "accumulate", "--events", str(ev),
+                           "--out-dir", str(tmp_path / "x"), "--window-us", "99999999999999999999")
+    assert code == 1
+    assert err.startswith("error: InvalidWindow:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_transfer_labels_malformed_calibration_exits_1(tmp_path, capsys):
     labels = tmp_path / "labels.csv"
     write_labels_csv([Track("d", (Keyframe(0, BBox(100, 120, 40, 30)),))], str(labels))

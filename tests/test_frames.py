@@ -14,7 +14,6 @@ from evflow.frames import (
     activity,
     area_sum,
     downscale,
-    frame_sequence,
     read_pfr1,
     render_rgb,
     window_frames,
@@ -92,14 +91,14 @@ def test_frame_payload_is_width_height_2():
 
 def test_frame_sequence_spans_event_windows():
     s = EventStream(SMALL, [10, 40_000, 99_000], [1, 2, 3], [1, 2, 3], [1, 1, 1])
-    frames = frame_sequence(s, 33_333)
+    frames = list(window_frames(s, 33_333))
     assert len(frames) == 3
     assert [f.t0 for f in frames] == [0, 33_333, 66_666]
 
 
 def test_frame_sequence_conserves_events_below_saturation():
     s = random_stream(SMALL, 20_000, seed=13, t_max=500_000)
-    frames = frame_sequence(s, 33_333)
+    frames = list(window_frames(s, 33_333))
     total = sum(int(f.pos.sum()) + int(f.neg.sum()) for f in frames)
     assert total == len(s)
     assert max(int(f.pos.max(initial=0)) for f in frames) < 255  # no cell saturated
@@ -107,11 +106,11 @@ def test_frame_sequence_conserves_events_below_saturation():
 
 def test_frame_sequence_rejects_zero_window():
     with pytest.raises(InvalidWindow):
-        frame_sequence(EventStream.empty(SMALL), 0)
+        list(window_frames(EventStream.empty(SMALL), 0))
 
 
 def test_frame_sequence_empty_stream():
-    assert frame_sequence(EventStream.empty(SMALL), 33_333) == []
+    assert list(window_frames(EventStream.empty(SMALL), 33_333)) == []
 
 
 def assert_same_frame(a, b):
@@ -150,6 +149,32 @@ def test_window_frames_explicit_range_on_empty_stream():
     frames = list(window_frames(EventStream.empty(SMALL), 1000, 0, 2))
     assert [f.t0 for f in frames] == [0, 1000, 2000]
     assert not any(f.pos.any() or f.neg.any() for f in frames)
+
+
+def test_window_frames_near_the_uint64_limit():
+    # the last window's end, (k + 1) * T, is past 2^64 - 1
+    s = EventStream(SensorGeometry(4, 4), [2**64 - 10, 2**64 - 9], [0, 1], [0, 1], [1, 0])
+    (f,) = window_frames(s, 33_333)
+    assert int(f.pos.sum()) + int(f.neg.sum()) == 2
+    assert_same_frame(f, accumulate(s, f.t0, 33_333))
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 2**63, 2**64 - 1])
+def test_window_frames_hold_an_event_at_the_last_timestamp(T):
+    s = EventStream(SensorGeometry(4, 4), [2**64 - 7, 2**64 - 1], [0, 1], [0, 1], [1, 0])
+    frames = list(window_frames(s, T))
+    assert sum(int(f.pos.sum()) + int(f.neg.sum()) for f in frames) == 2
+    assert frames[-1].pos[1, 1] == 0 and frames[-1].neg[1, 1] == 1
+    for f in frames:
+        assert_same_frame(f, accumulate(s, f.t0, T))
+
+
+def test_window_past_the_uint64_range_is_rejected():
+    s = EventStream(SensorGeometry(4, 4), [1], [0], [0], [1])
+    with pytest.raises(InvalidWindow):
+        list(window_frames(s, 2**64))
+    with pytest.raises(InvalidWindow):
+        accumulate(s, 0, 2**64)
 
 
 def loop_overlap_weights(n_in, n_out):

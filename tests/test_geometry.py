@@ -145,8 +145,11 @@ def test_principal_point_maps_to_principal_point():
 
 def oracle_transfer(px, pair):
     """Independent reimplementation: matrix inverse + scipy root finding."""
-    k1 = pair.cam_rgb.intrinsics.to_matrix()
-    k2 = pair.cam_dvs.intrinsics.to_matrix()
+    def k_matrix(i):
+        return np.array([[i.fx, 0.0, i.cx], [0.0, i.fy, i.cy], [0.0, 0.0, 1.0]])
+
+    k1 = k_matrix(pair.cam_rgb.intrinsics)
+    k2 = k_matrix(pair.cam_dvs.intrinsics)
     d1, d2 = pair.cam_rgb.distortion, pair.cam_dvs.distortion
 
     def poly(pt, d):

@@ -16,10 +16,10 @@ from evflow.labels import (
     iou,
     load_detections_csv,
     load_labels_csv,
-    match_detections,
     write_detections_csv,
     write_labels_csv,
 )
+from evflow.labels import _match_all
 
 
 def det(frame, x, y, w, h, conf):
@@ -105,18 +105,17 @@ def test_iou_zero_area_boxes():
 
 
 def test_match_single_exact_detection():
-    gt = [BBox(10, 10, 20, 20)]
-    res = match_detections([det(0, 10, 10, 20, 20, 0.9)], gt, 0.5)
-    assert res.tp == [True]
-    assert res.n_tp == 1 and res.n_fp == 0 and res.n_fn == 0
+    gts = {0: [BBox(10, 10, 20, 20)]}
+    rep = evaluate_detections([det(0, 10, 10, 20, 20, 0.9)], gts, 0.5)
+    assert (rep.tp, rep.fp, rep.fn) == (1, 0, 0)
 
 
 def test_match_two_detections_one_gt():
-    gt = [BBox(10, 10, 20, 20)]
+    gts = {0: [BBox(10, 10, 20, 20)]}
     dets = [det(0, 10, 10, 20, 20, 0.8), det(0, 11, 10, 20, 20, 0.9)]
-    res = match_detections(dets, gt, 0.5)
-    assert res.tp == [False, True]  # the higher-confidence one wins
-    assert res.n_fp == 1
+    rep = evaluate_detections(dets, gts, 0.5)
+    assert (rep.tp, rep.fp, rep.fn) == (1, 1, 0)
+    assert rep.ap == 1.0  # the higher-confidence one wins, so it ranks first
 
 
 def test_match_against_greedy_oracle():
@@ -133,10 +132,10 @@ def test_match_against_greedy_oracle():
             BBox(rng.uniform(0, 40), rng.uniform(0, 40), rng.uniform(5, 25), rng.uniform(5, 25))
             for _ in range(n_g)
         ]
-        res = match_detections(dets, gts, 0.5)
+        flags, n_gt = _match_all(dets, {0: gts}, 0.5)
 
         taken = set()
-        expect_tp = [False] * len(dets)
+        expect = []
         for i in sorted(range(len(dets)), key=lambda i: -dets[i].confidence):
             cands = [
                 (iou(dets[i].box, g), j)
@@ -146,13 +145,13 @@ def test_match_against_greedy_oracle():
             if cands:
                 best = max(cands, key=lambda c: c[0])
                 taken.add(best[1])
-                expect_tp[i] = True
-        assert res.tp == expect_tp
+            expect.append(bool(cands))
+        assert flags == expect and n_gt == len(gts)
 
 
 def test_match_validates_threshold():
     with pytest.raises(ValueError):
-        match_detections([], [], 0.0)
+        evaluate_detections([], {0: [BBox(0, 0, 1, 1)]}, 0.0)
 
 
 # --- average precision ---

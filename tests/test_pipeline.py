@@ -3,14 +3,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evflow.errors import ConfigInvalid, MissingField, UpscaleUnsupported
 from evflow.events import EventStream, SensorGeometry
-from evflow.frames import PolarityFrame, frame_sequence
+from evflow.frames import PolarityFrame, window_frames
 from evflow.labels import BBox, Keyframe, Track, interpolate_track, iou, write_detections_csv
 from evflow.pipeline import (
     PipelineConfig,
-    offline_detections,
     pipeline_from_config,
     run_pipeline,
     stub_detector,
@@ -41,6 +42,18 @@ def detection_keys(dets):
     return [(d.frame_idx, d.box.x, d.box.y, d.box.w, d.box.h, d.confidence) for d in dets]
 
 
+def offline_detections(events, cfg):
+    """Reference path: every window's frame in a list, then the stub detector
+    batch by batch, with no read-ahead."""
+    frames = list(window_frames(events, cfg.integration_window))
+    detections = []
+    for i in range(0, len(frames), cfg.batch_size):
+        for dets in stub_detector(frames[i : i + cfg.batch_size], cfg.stub_min_area,
+                                  cfg.stub_activity_thresh):
+            detections.extend(dets)
+    return detections
+
+
 # --- stub detector ---
 
 
@@ -51,7 +64,7 @@ def test_stub_empty_frame_no_detections():
 
 def test_stub_single_disc_per_frame():
     stream, track, _ = disc_recording(seconds=2.0)
-    frames = frame_sequence(stream, WINDOW)
+    frames = list(window_frames(stream, WINDOW))
     per_frame = stub_detector(frames, min_area=20, activity_thresh=1)
     good = 0
     for f, dets in zip(frames, per_frame):
@@ -170,6 +183,27 @@ def test_pipeline_matches_offline_reference():
     res = run_pipeline(stream, cfg, threads=2)
     ref = offline_detections(stream, cfg)
     assert detection_keys(res.detections) == detection_keys(ref)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_pipeline_is_lossless_and_deterministic(data):
+    w, h = data.draw(st.integers(1, 64)), data.draw(st.integers(1, 48))
+    event = st.tuples(st.integers(0, 20_000), st.integers(0, w - 1), st.integers(0, h - 1),
+                      st.integers(0, 1))
+    t, x, y, p = zip(*sorted(data.draw(st.lists(event, min_size=1, max_size=300))))
+    stream = EventStream(SensorGeometry(w, h), t, x, y, p)
+    window = data.draw(st.integers(200, 5_000))
+    min_area = data.draw(st.integers(1, 8))
+    n_windows = len(list(window_frames(stream, window)))
+    ref = detection_keys(offline_detections(stream, PipelineConfig(window, stub_min_area=min_area)))
+    for b in (1, 3):
+        for capacity in (b, 2 * b + 1):
+            cfg = PipelineConfig(window, b, queue_capacity=capacity, stub_min_area=min_area)
+            for threads in (1, 2):
+                res = run_pipeline(stream, cfg, threads=threads)
+                assert res.metrics.frames_inferred == res.metrics.frames_produced == n_windows
+                assert detection_keys(res.detections) == ref
 
 
 @pytest.mark.parametrize("batch, capacity", [(1, 1), (1, None), (4, 4), (4, None)])
