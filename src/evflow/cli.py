@@ -285,8 +285,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    # UnicodeDecodeError: a text input file that is not UTF-8
-    except (EvflowError, OSError, UnicodeDecodeError) as exc:
+    # UnicodeDecodeError: a text input file that is not UTF-8; MemoryError: an
+    # input whose window grid is too large to allocate
+    except (EvflowError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

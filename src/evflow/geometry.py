@@ -180,15 +180,11 @@ def _radial_init(q: np.ndarray, d: Distortion) -> np.ndarray:
     return q * (0.5 * (lo + hi) / rq)
 
 
-def undistort(
-    pt: Tuple[float, float],
-    d: Distortion,
-    tol: float = UNDISTORT_TOL,
-    max_iter: int = UNDISTORT_MAX_ITER,
-) -> Tuple[float, float]:
-    """Numerical inverse of distort: returns p with |distort(p) - pt| <= tol.
+def undistort(pt: Tuple[float, float], d: Distortion) -> Tuple[float, float]:
+    """Numerical inverse of distort: returns p with |distort(p) - pt| <=
+    UNDISTORT_TOL, after at most UNDISTORT_MAX_ITER Newton steps.
 
-    Raises NoConvergence when the residual stays above tol, which happens
+    Raises NoConvergence when the residual stays above the tolerance, which happens
     outside the model's invertible region.
     """
     if d.is_zero:
@@ -197,7 +193,7 @@ def undistort(
     p = _radial_init(q, d)
     resid = np.array(distort(p, d)) - q
     rn = float(np.hypot(*resid))
-    for _ in range(max_iter):
+    for _ in range(UNDISTORT_MAX_ITER):
         if rn <= 1e-13:
             break
         try:
@@ -217,8 +213,10 @@ def undistort(
             lam *= 0.5
         if not improved:
             break
-    if rn > tol:
-        raise NoConvergence(f"residual {rn:.3e} > {tol:.0e} at normalized point {tuple(q)}")
+    if rn > UNDISTORT_TOL:
+        raise NoConvergence(
+            f"residual {rn:.3e} > {UNDISTORT_TOL:.0e} at normalized point {tuple(q)}"
+        )
     return (float(p[0]), float(p[1]))
 
 

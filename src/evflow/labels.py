@@ -212,19 +212,12 @@ def evaluate_detections(
     return EvalReport(ap, n_tp, len(flags) - n_tp, n_gt - n_tp, n_gt, iou_thresh)
 
 
-def densify_tracks(
-    tracks: Iterable[Track], frame_range: Tuple[int, int] | None = None
-) -> Dict[int, List[BBox]]:
-    """Ground-truth boxes per frame from interpolating every track.
-
-    Each track contributes a box on every integer frame within its span,
-    optionally intersected with [frame_range[0], frame_range[1]].
-    """
+def densify_tracks(tracks: Iterable[Track]) -> Dict[int, List[BBox]]:
+    """Ground-truth boxes per frame from interpolating every track: each track
+    contributes a box on every integer frame within its span."""
     out: Dict[int, List[BBox]] = defaultdict(list)
     for t in tracks:
         lo, hi = t.span
-        if frame_range is not None:
-            lo, hi = max(lo, frame_range[0]), min(hi, frame_range[1])
         for f in range(lo, hi + 1):
             box = interpolate_track(t, f)
             if box is not None:

@@ -66,6 +66,8 @@ class PipelineConfig:
             raise ConfigInvalid(f"batch_size must be >= 1, got {self.batch_size}")
         if cap < self.batch_size:
             raise ConfigInvalid(f"queue_capacity {cap} < batch_size {self.batch_size}")
+        if self.stub_activity_thresh < 1:  # 0 would make every cell of every window a blob
+            raise ConfigInvalid(f"stub_activity_thresh must be >= 1, got {self.stub_activity_thresh}")
         return cap
 
 

@@ -5,7 +5,8 @@ per-window pos+neg event counts on one side, absolute consecutive-frame
 differences on the other. Both are then resampled onto a small common
 raster and the integer frame offset maximizing the mean zero-mean
 normalized cross-correlation is reported, together with the whole score
-curve.
+curve. Each raster is standardised once, so one matrix product scores every
+event/frame pair and offset d is the mean of that matrix's d-th diagonal.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ COMMON_RASTER = (320, 180)  # cheap and tolerant to unaligned geometry
 
 @dataclass(frozen=True)
 class GrayFrameSequence:
-    """Luminance frames at a fixed period, all sharing one shape."""
+    """uint8 luminance frames at a fixed period, all sharing one shape (uint8
+    keeps rgb_activity's |difference| exact and one byte per pixel)."""
 
     width: int
     height: int
@@ -40,6 +42,8 @@ class GrayFrameSequence:
         for fr in self.frames:
             if fr.shape != (self.height, self.width):
                 raise ShapeMismatch(f"frame shape {fr.shape} != ({self.height}, {self.width})")
+            if fr.dtype != np.uint8:
+                raise ValueError(f"frames must be uint8, got {fr.dtype}")
         object.__setattr__(self, "frames", tuple(self.frames))
 
 
@@ -50,6 +54,18 @@ class OffsetResult:
     score_curve: Tuple[Tuple[int, float], ...]
 
 
+def _standardise(grids: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Equally shaped grids as float64 rows, each minus its mean and divided by
+    its population std, and a flag per row that it varies (a constant row
+    stays all zero)."""
+    z = np.array(grids, dtype=np.float64).reshape(len(grids), -1)
+    z -= z.mean(axis=1, keepdims=True)
+    std = np.sqrt(np.einsum("ij,ij->i", z, z) / z.shape[1])
+    varies = std > 0.0
+    np.divide(z, std[:, None], out=z, where=varies[:, None])
+    return z, varies
+
+
 def zncc(a: np.ndarray, b: np.ndarray) -> float:
     """Zero-mean normalized cross-correlation of two equally shaped grids.
 
@@ -58,22 +74,18 @@ def zncc(a: np.ndarray, b: np.ndarray) -> float:
     """
     if a.shape != b.shape:
         raise ShapeMismatch(f"{a.shape} vs {b.shape}")
-    af = np.asarray(a, dtype=np.float64)
-    bf = np.asarray(b, dtype=np.float64)
-    za = af - af.mean()
-    zb = bf - bf.mean()
-    sa = np.sqrt(np.mean(za * za))
-    sb = np.sqrt(np.mean(zb * zb))
-    if sa == 0.0 or sb == 0.0:
+    (za, zb), varies = _standardise((a, b))
+    if not varies.all():
         raise ZeroVariance("constant input grid")
-    return float(np.sum(za * zb) / (za.size * sa * sb))
+    return float(za @ zb / za.size)
 
 
 def rgb_activity(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
-    """Per-pixel |curr - prev| as float64: a change signal comparable to events."""
+    """Per-pixel |curr - prev| in the frames' dtype: a change signal comparable
+    to events. Exact for unsigned integer and float frames; signed ones wrap."""
     if prev.shape != curr.shape:
         raise ShapeMismatch(f"{prev.shape} vs {curr.shape}")
-    return np.abs(curr.astype(np.float64) - prev.astype(np.float64))
+    return np.maximum(curr, prev) - np.minimum(curr, prev)
 
 
 def find_offset(
@@ -83,10 +95,12 @@ def find_offset(
 ) -> OffsetResult:
     """Offset d maximizing mean ZNCC of pairs (ev_seq[i], rgb_seq[i + d]).
 
-    A positive result means the second sequence lags the first by that
-    many frames. Zero-variance pairs are skipped (and logged); a candidate
-    offset with no scorable pair raises InsufficientOverlap. Ties prefer
-    the smaller |d|.
+    scores = Z_ev @ Z_rgb.T / cells, over the standardised grids, is the ZNCC
+    of every pair; offset d is the mean of np.diagonal(scores, d). A positive
+    result means the second sequence lags the first by that many frames.
+    Zero-variance pairs are skipped (and logged); a candidate offset with no
+    scorable pair raises InsufficientOverlap. Ties prefer the smaller |d|,
+    then the negative d.
     """
     if max_abs_offset < 0:
         raise ValueError("max_abs_offset must be >= 0")
@@ -94,27 +108,20 @@ def find_offset(
     for g in list(ev_seq) + list(rgb_seq):
         if g.shape != shape:
             raise ShapeMismatch(f"{g.shape} vs {shape}")
+    z_ev, ev_varies = _standardise(ev_seq)
+    z_rgb, rgb_varies = _standardise(rgb_seq)
+    scores = z_ev @ z_rgb.T / z_ev.shape[1]
+    scorable = ev_varies[:, None] & rgb_varies
     curve = []
     for d in range(-max_abs_offset, max_abs_offset + 1):
-        scores = []
-        skipped = 0
-        for i in range(len(ev_seq)):
-            j = i + d
-            if j < 0 or j >= len(rgb_seq):
-                continue
-            try:
-                scores.append(zncc(ev_seq[i], rgb_seq[j]))
-            except ZeroVariance:
-                skipped += 1
+        ok = np.diagonal(scorable, d)
+        skipped = ok.size - np.count_nonzero(ok)
         if skipped:
             log.debug("offset %d: skipped %d zero-variance pair(s)", d, skipped)
-        if not scores:
+        if skipped == ok.size:
             raise InsufficientOverlap(f"offset {d} has no scorable frame pairs")
-        curve.append((d, float(np.mean(scores))))
-    best_d, best_s = curve[max_abs_offset]  # d == 0
-    for d, s in sorted(curve, key=lambda c: (abs(c[0]), c[0])):
-        if s > best_s:
-            best_d, best_s = d, s
+        curve.append((d, float(np.mean(np.diagonal(scores, d)[ok]))))
+    best_d, best_s = max(curve, key=lambda c: (c[1], -abs(c[0]), -c[0]))
     return OffsetResult(best_d, best_s, tuple(curve))
 
 

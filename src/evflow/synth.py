@@ -190,10 +190,8 @@ def generate_disc_events(
     return EventStream(geom, t[order], x[order], y[order], p[order], check=False)
 
 
-def ground_truth_boxes(
-    traj: DiscTrajectory, frame_period: int, geom: SensorGeometry, track_id="disc"
-) -> Track:
-    """Per-frame bounding squares of the disc, clipped to the sensor.
+def ground_truth_boxes(traj: DiscTrajectory, frame_period: int, geom: SensorGeometry) -> Track:
+    """Per-frame bounding squares of the disc, clipped to the sensor, as track "disc".
 
     Frame k covers [k*P, (k+1)*P) microseconds; the box is the disc's
     bounding square at the window midpoint. Frames whose midpoint falls
@@ -217,18 +215,13 @@ def ground_truth_boxes(
         k += 1
     if not kfs:
         raise DegenerateTrajectory("disc bounding box never overlaps the sensor")
-    return Track(track_id, tuple(kfs))
+    return Track("disc", tuple(kfs))
 
 
 def render_gray_frames(
-    traj: DiscTrajectory,
-    geom: SensorGeometry,
-    frame_period: int,
-    n_frames: int,
-    foreground: int = 200,
-    background: int = 30,
+    traj: DiscTrajectory, geom: SensorGeometry, frame_period: int, n_frames: int
 ) -> List[np.ndarray]:
-    """Plain gray renderings of the disc at each frame midpoint.
+    """Plain gray renderings of the disc (200) on a background (30) at each frame midpoint.
 
     Stands in for a conventional camera in synchronization tests; frame k
     shows the disc as of ((k + 0.5) * frame_period) microseconds.
@@ -238,7 +231,7 @@ def render_gray_frames(
     for k in range(n_frames):
         t_mid = (k + 0.5) * frame_period * 1e-6
         cx, cy = traj.center_at(t_mid)
-        img = np.full((geom.height, geom.width), background, dtype=np.uint8)
-        img[(xs - cx) ** 2 + (ys - cy) ** 2 <= traj.radius**2] = foreground
+        img = np.full((geom.height, geom.width), 30, dtype=np.uint8)
+        img[(xs - cx) ** 2 + (ys - cy) ** 2 <= traj.radius**2] = 200
         out.append(img)
     return out

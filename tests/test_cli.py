@@ -240,6 +240,17 @@ def test_accumulate_window_past_uint64_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("cmd", ["accumulate", "run"])
+def test_window_grid_too_large_to_allocate_exits_1(tmp_path, capsys, cmd):
+    ev = tmp_path / "span.evb1"  # 16x16, events at t = 0 and t = 2^64-1
+    ev.write_bytes(b"EVB1" + struct.pack("<HHQHHBQHHB", 16, 16, 0, 3, 4, 1, 2**64 - 1, 5, 6, 0))
+    extra = ["--out-dir", str(tmp_path / "x")] if cmd == "accumulate" else []
+    code, _, err = run_cli(capsys, cmd, "--events", str(ev), *extra)
+    assert code == 1
+    assert err.startswith("error: MemoryError:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_transfer_labels_malformed_calibration_exits_1(tmp_path, capsys):
     labels = tmp_path / "labels.csv"
     write_labels_csv([Track("d", (Keyframe(0, BBox(100, 120, 40, 30)),))], str(labels))

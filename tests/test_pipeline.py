@@ -340,6 +340,7 @@ def test_pipeline_from_config_reads_every_key():
     {"downscale_to": "320"},
     {"downscale_to": "320 inf"},
     {"batch_size": "4", "queue_capacity": "2"},
+    {"stub_activity_thresh": "0"},
 ])
 def test_pipeline_from_config_rejects_malformed_value(values):
     with pytest.raises(ConfigInvalid):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evflow.errors import InsufficientOverlap, ShapeMismatch, ZeroVariance
 from evflow.events import EventStream, SensorGeometry
@@ -24,6 +26,23 @@ def random_grid(seed, shape=(24, 32)):
 def random_sequence(seed, n, shape=(24, 32)):
     rng = np.random.default_rng(seed)
     return [rng.uniform(0, 255, shape) for _ in range(n)]
+
+
+def loop_offset_curve(ev_seq, rgb_seq, max_abs_offset):
+    """Reference for find_offset's curve: one zncc call per frame pair per offset."""
+    curve = []
+    for d in range(-max_abs_offset, max_abs_offset + 1):
+        scores = []
+        for i in range(len(ev_seq)):
+            if 0 <= i + d < len(rgb_seq):
+                try:
+                    scores.append(zncc(ev_seq[i], rgb_seq[i + d]))
+                except ZeroVariance:
+                    pass
+        if not scores:
+            raise InsufficientOverlap(f"offset {d} has no scorable frame pairs")
+        curve.append((d, float(np.mean(scores))))
+    return curve
 
 
 def test_zncc_self_correlation_is_one():
@@ -82,8 +101,14 @@ def test_rgb_activity_matches_elementwise_oracle():
     rng = np.random.default_rng(9)
     prev = rng.integers(0, 255, (16, 16)).astype(np.uint8)
     curr = rng.integers(0, 255, (16, 16)).astype(np.uint8)
-    expected = np.abs(curr.astype(int) - prev.astype(int)).astype(float)
-    assert np.array_equal(rgb_activity(prev, curr), expected)
+    expected = np.abs(curr.astype(int) - prev.astype(int))
+    out = rgb_activity(prev, curr)
+    assert out.dtype == np.uint8 and np.array_equal(out, expected)
+
+
+def test_gray_frame_sequence_requires_uint8():
+    with pytest.raises(ValueError):
+        GrayFrameSequence(8, 6, 33_333, (np.zeros((6, 8), dtype=np.int16),) * 2)
 
 
 def test_find_offset_recovers_pure_shift():
@@ -127,6 +152,37 @@ def test_find_offset_skips_zero_variance_pairs():
     rgb = [np.ones((24, 32))] * 2 + ev[:-2]  # first two rgb frames constant
     res = find_offset(ev, rgb, 3)
     assert res.best_offset == 2
+
+
+def test_find_offset_tie_prefers_smaller_then_negative_offset():
+    a, b = random_grid(17), random_grid(18)
+    assert find_offset([a, b, a], [b, a, b], 1).best_offset == -1
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_find_offset_matches_pairwise_loop(data):
+    h, w = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+
+    def grid():
+        if data.draw(st.booleans()):  # a constant frame: its pairs are skipped
+            return np.full((h, w), float(data.draw(st.integers(0, 255))))
+        cells = data.draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
+        return np.array(cells, dtype=np.float64).reshape(h, w)
+
+    ev = [grid() for _ in range(data.draw(st.integers(1, 6)))]
+    rgb = [grid() for _ in range(data.draw(st.integers(1, 6)))]
+    max_offset = data.draw(st.integers(0, 7))
+    try:
+        want = loop_offset_curve(ev, rgb, max_offset)
+    except InsufficientOverlap:
+        with pytest.raises(InsufficientOverlap):
+            find_offset(ev, rgb, max_offset)
+        return
+    res = find_offset(ev, rgb, max_offset)
+    assert [d for d, _ in res.score_curve] == [d for d, _ in want]
+    assert np.allclose([s for _, s in res.score_curve], [s for _, s in want], rtol=0, atol=1e-12)
+    assert dict(want)[res.best_offset] >= max(s for _, s in want) - 1e-12
 
 
 def test_find_offset_insufficient_overlap():
