@@ -33,7 +33,7 @@ from scipy import ndimage
 from .config import numbers
 from .errors import ConfigInvalid
 from .events import EventStream
-from .frames import PolarityFrame, activity, downscale, window_frames
+from .frames import PolarityFrame, downscale, window_frames
 from .geometry import CameraPair, transfer_tracks
 from .labels import BBox, Detection, EvalReport, Track, densify_tracks, evaluate_detections, load_detections_csv
 
@@ -116,34 +116,43 @@ def stub_detector(
 
     Components of thresholded activity with at least min_area pixels
     become detections; confidence saturates with the component's total
-    event mass.
+    event mass. Only the box of nonzero cells is labelled: with
+    activity_thresh >= 1 no component reaches outside it, and the crop
+    keeps raster order, so components and their order are the whole
+    frame's.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    out: List[List[Detection]] = []
-    for f in batch:
-        act = activity(f)
-        mask = act >= activity_thresh
-        labels, n = ndimage.label(mask, structure=_FOUR_CONNECTED)
-        dets: List[Detection] = []
-        if n:
-            slices = ndimage.find_objects(labels)
-            for comp, sl in enumerate(slices, start=1):
-                region = labels[sl] == comp
-                area = int(region.sum())
-                if area < min_area:
-                    continue
-                mass = float(act[sl][region].sum())
-                ys, xs = sl
-                box = BBox(
-                    float(xs.start),
-                    float(ys.start),
-                    float(xs.stop - xs.start),
-                    float(ys.stop - ys.start),
-                )
-                dets.append(Detection(f.frame_index, box, min(1.0, mass / 255.0)))
-        out.append(dets)
-    return out
+    if activity_thresh < 1:  # 0 would make the empty background a blob outside the box
+        raise ValueError(f"activity_thresh must be >= 1, got {activity_thresh}")
+    return [_detect_frame(f, min_area, activity_thresh) for f in batch]
+
+
+def _detect_frame(f: PolarityFrame, min_area: int, activity_thresh: int) -> List[Detection]:
+    nonzero = f.pos | f.neg
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    if not rows.size:
+        return []
+    y0, y1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(nonzero[y0:y1].any(axis=0))
+    x0, x1 = int(cols[0]), int(cols[-1]) + 1
+    act = f.pos[y0:y1, x0:x1].astype(np.uint16) + f.neg[y0:y1, x0:x1]
+    labels, _ = ndimage.label(act >= activity_thresh, structure=_FOUR_CONNECTED)
+    dets: List[Detection] = []
+    for comp, (ys, xs) in enumerate(ndimage.find_objects(labels), start=1):
+        region = labels[ys, xs] == comp
+        area = int(region.sum())
+        if area < min_area:
+            continue
+        mass = float(act[ys, xs][region].sum())
+        box = BBox(
+            float(x0 + xs.start),
+            float(y0 + ys.start),
+            float(xs.stop - xs.start),
+            float(ys.stop - ys.start),
+        )
+        dets.append(Detection(f.frame_index, box, min(1.0, mass / 255.0)))
+    return dets
 
 
 def _replay_detector(path: str) -> DetectorFn:

@@ -56,12 +56,14 @@ class OffsetResult:
 
 def _standardise(grids: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """Equally shaped grids as float64 rows, each minus its mean and divided by
-    its population std, and a flag per row that it varies (a constant row
-    stays all zero)."""
+    its population std, and a flag per row that it varies. The flag is
+    max > min, which is exact: a constant row whose mean does not round back
+    to its value would keep a residue. A constant row is all zero."""
     z = np.array(grids, dtype=np.float64).reshape(len(grids), -1)
+    varies = z.max(axis=1) > z.min(axis=1)
     z -= z.mean(axis=1, keepdims=True)
+    z[~varies] = 0.0
     std = np.sqrt(np.einsum("ij,ij->i", z, z) / z.shape[1])
-    varies = std > 0.0
     np.divide(z, std[:, None], out=z, where=varies[:, None])
     return z, varies
 

@@ -177,6 +177,26 @@ def test_window_past_the_uint64_range_is_rejected():
         accumulate(s, 0, 2**64)
 
 
+@settings(max_examples=150)
+@given(data=st.data())
+def test_window_frames_equal_brute_force(data):
+    # bursts of one cell at consecutive microseconds on a few cells: counts past
+    # 255, and windows between distant bursts left empty
+    geom = SensorGeometry(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4)))
+    burst = st.tuples(st.integers(0, 40_000), st.integers(0, geom.width - 1),
+                      st.integers(0, geom.height - 1), st.integers(0, 1), st.integers(1, 600))
+    bursts = data.draw(st.lists(burst, min_size=1, max_size=8))
+    t, x, y, p = zip(*sorted((t + i, x, y, p) for t, x, y, p, n in bursts for i in range(n)))
+    s = EventStream(geom, t, x, y, p)
+    T = data.draw(st.integers(100, 5_000))
+    k0 = data.draw(st.integers(0, t[0] // T))  # windows before the first event too
+    frames = list(window_frames(s, T, k0, t[-1] // T))
+    assert [f.frame_index for f in frames] == list(range(k0, t[-1] // T + 1))
+    for f in frames:
+        pos, neg = brute_force_counts(s, f.t0, f.t0 + T, geom)
+        assert np.array_equal(f.pos, pos) and np.array_equal(f.neg, neg)
+
+
 def loop_overlap_weights(n_in, n_out):
     """Exact overlaps, in input cells, of output cell j with input cell i, by a double loop."""
     scale = Fraction(n_in, n_out)

@@ -5,11 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from evflow.errors import ConfigInvalid, MissingField, UpscaleUnsupported
 from evflow.events import EventStream, SensorGeometry
-from evflow.frames import PolarityFrame, window_frames
-from evflow.labels import BBox, Keyframe, Track, interpolate_track, iou, write_detections_csv
+from evflow.frames import PolarityFrame, activity, window_frames
+from evflow.labels import (
+    BBox,
+    Detection,
+    Keyframe,
+    Track,
+    interpolate_track,
+    iou,
+    write_detections_csv,
+)
 from evflow.pipeline import (
     PipelineConfig,
     pipeline_from_config,
@@ -54,12 +63,61 @@ def offline_detections(events, cfg):
     return detections
 
 
+def full_frame_stub_detector(batch, min_area, activity_thresh):
+    """Reference for stub_detector: labels the whole frame's thresholded activity."""
+    out = []
+    for f in batch:
+        act = activity(f)
+        labels, _ = ndimage.label(act >= activity_thresh)  # default structure: 4-connected
+        dets = []
+        for comp, sl in enumerate(ndimage.find_objects(labels), start=1):
+            region = labels[sl] == comp
+            if int(region.sum()) < min_area:
+                continue
+            ys, xs = sl
+            box = BBox(float(xs.start), float(ys.start), float(xs.stop - xs.start),
+                       float(ys.stop - ys.start))
+            mass = float(act[sl][region].sum())
+            dets.append(Detection(f.frame_index, box, min(1.0, mass / 255.0)))
+        out.append(dets)
+    return out
+
+
 # --- stub detector ---
 
 
 def test_stub_empty_frame_no_detections():
     f = frame_from_grid(np.zeros((48, 64)))
     assert stub_detector([f]) == [[]]
+
+
+def test_stub_rejects_activity_threshold_below_one():
+    # at 0 the empty background would be a blob, and it lies outside the active box
+    with pytest.raises(ValueError):
+        stub_detector([frame_from_grid(np.zeros((4, 4)))], activity_thresh=0)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_stub_detector_equals_full_frame_oracle(data):
+    w, h = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 16))
+    frames = []
+    for k in range(data.draw(st.integers(1, 3))):
+        chans = np.zeros((2, h, w), dtype=np.uint8)
+        for _ in range(data.draw(st.integers(0, 6))):  # no blob: an empty frame
+            # small blobs, so frames hold several; often touching each border
+            x0 = data.draw(st.one_of(st.just(0), st.integers(0, w - 1)))
+            y0 = data.draw(st.one_of(st.just(0), st.integers(0, h - 1)))
+            x1 = data.draw(st.one_of(st.just(w), st.integers(x0 + 1, min(w, x0 + 4))))
+            y1 = data.draw(st.one_of(st.just(h), st.integers(y0 + 1, min(h, y0 + 4))))
+            value = data.draw(st.one_of(st.integers(1, 4), st.just(255)))
+            chans[data.draw(st.integers(0, 1)), y0:y1, x0:x1] = value
+        frames.append(PolarityFrame(w, h, k * WINDOW, WINDOW, chans[0], chans[1]))
+    min_area = data.draw(st.integers(1, 10))
+    thresh = data.draw(st.integers(1, 3))
+    want = full_frame_stub_detector(frames, min_area, thresh)
+    got = stub_detector(frames, min_area, thresh)
+    assert [detection_keys(d) for d in got] == [detection_keys(d) for d in want]
 
 
 def test_stub_single_disc_per_frame():

@@ -81,6 +81,13 @@ def test_zncc_rejects_constant_input():
         zncc(np.ones((4, 4)), random_grid(7, (4, 4)))
 
 
+def test_zncc_rejects_constant_grid_whose_mean_does_not_round_back():
+    third = np.full((180, 320), 1 / 3)
+    assert third.mean() != third[0, 0]  # the mean leaves a residue in every cell
+    with pytest.raises(ZeroVariance):
+        zncc(third, random_grid(7, (180, 320)))
+
+
 def test_zncc_rejects_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         zncc(np.zeros((4, 4)), np.zeros((4, 5)))
@@ -152,6 +159,15 @@ def test_find_offset_skips_zero_variance_pairs():
     rgb = [np.ones((24, 32))] * 2 + ev[:-2]  # first two rgb frames constant
     res = find_offset(ev, rgb, 3)
     assert res.best_offset == 2
+
+
+def test_find_offset_skips_constant_grids_with_inexact_means():
+    ev = random_sequence(13, 10, (180, 320))
+    rgb = [np.full((180, 320), 1 / 3)] * 2 + ev[:-2]
+    res = find_offset(ev, rgb, 3)
+    assert res.best_offset == 2
+    want = loop_offset_curve(ev, rgb, 3)  # its zncc raises on the constant pairs
+    assert np.allclose([s for _, s in res.score_curve], [s for _, s in want], rtol=0, atol=1e-12)
 
 
 def test_find_offset_tie_prefers_smaller_then_negative_offset():
