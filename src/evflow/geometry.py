@@ -10,10 +10,11 @@ radial-tangential model (k1, k2, p1, p2):
 
 Cross-camera point transfer treats scene points as infinitely distant:
 drop the translation, rotate the undistorted ray, reproject. Undistortion
-inverts the polynomial numerically: a bisection on the monotone radial
-branch seeds a damped Newton iteration (analytic Jacobian, at most 20
-steps); if the residual cannot be brought under tolerance the call fails
-loudly rather than returning a wrong point.
+runs a damped Newton iteration in plain floats (analytic Jacobian, closed-form
+2x2 step, at most 20 steps) from the distorted point; if it misses the
+tolerance or ends at or past the fold of the radial profile, it restarts from
+a bisection seed on the monotone radial branch, and then fails loudly rather
+than return a wrong point if the residual is still above tolerance.
 
 Calibration documents are flat ``key = value`` text (one key per line):
 
@@ -93,6 +94,7 @@ class Extrinsics:
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "_rows", r.tolist())  # transfer_point's floats
 
 
 @dataclass(frozen=True)
@@ -119,19 +121,6 @@ def distort(pt: Tuple[float, float], d: Distortion) -> Tuple[float, float]:
     return (xd, yd)
 
 
-def _distort_jacobian(x: float, y: float, d: Distortion) -> np.ndarray:
-    r2 = x * x + y * y
-    radial = 1.0 + d.k1 * r2 + d.k2 * r2 * r2
-    g = d.k1 + 2.0 * d.k2 * r2
-    jxy = 2.0 * x * y * g + 2.0 * d.p1 * x + 2.0 * d.p2 * y
-    return np.array(
-        [
-            [radial + 2.0 * x * x * g + 2.0 * d.p1 * y + 6.0 * d.p2 * x, jxy],
-            [jxy, radial + 2.0 * y * y * g + 6.0 * d.p1 * y + 2.0 * d.p2 * x],
-        ]
-    )
-
-
 def fold_radius(d: Distortion) -> float | None:
     """Smallest radius where the radial profile r(1 + k1 r^2 + k2 r^4) folds.
 
@@ -153,14 +142,15 @@ def fold_radius(d: Distortion) -> float | None:
 
 
 def _radial_scale(r: float, d: Distortion) -> float:
-    return r * (1.0 + d.k1 * r * r + d.k2 * r**4)
+    return r * (1.0 + d.k1 * r * r + d.k2 * r * r * r * r)  # r**4 raises OverflowError
 
 
-def _radial_init(q: np.ndarray, d: Distortion) -> np.ndarray:
-    """Seed point from inverting the radial profile alone, by bisection."""
-    rq = float(np.hypot(q[0], q[1]))
+def _radial_init(qx: float, qy: float, d: Distortion) -> float:
+    """Scale s that seeds Newton at s * q, from inverting the radial profile
+    alone by bisection."""
+    rq = math.hypot(qx, qy)
     if rq < 1e-12 or (d.k1 == 0.0 and d.k2 == 0.0):
-        return q.copy()
+        return 1.0
     hi = fold_radius(d)
     if hi is None:
         hi = max(rq, 1.0)
@@ -169,7 +159,7 @@ def _radial_init(q: np.ndarray, d: Distortion) -> np.ndarray:
     if _radial_scale(hi, d) < rq:
         # target beyond the principal branch; start at the fold and let
         # Newton report the residual honestly
-        return q * (hi / rq)
+        return hi / rq
     lo = 0.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -177,55 +167,61 @@ def _radial_init(q: np.ndarray, d: Distortion) -> np.ndarray:
             lo = mid
         else:
             hi = mid
-    return q * (0.5 * (lo + hi) / rq)
+    return 0.5 * (lo + hi) / rq
+
+
+def _newton(qx: float, qy: float, s: float, d: Distortion) -> Tuple[float, float, float]:
+    """Damped Newton on distort(p) = q from p = s * q; returns (x, y, |distort(p) - q|)."""
+    x, y = qx * s, qy * s
+    ex, ey = distort((x, y), d)
+    rx, ry = ex - qx, ey - qy
+    rn = math.hypot(rx, ry)
+    for _ in range(UNDISTORT_MAX_ITER):
+        if rn <= 1e-13:
+            break
+        # the Jacobian of distort at (x, y) is symmetric: [[a, b], [b, c]]
+        r2 = x * x + y * y
+        radial = 1.0 + d.k1 * r2 + d.k2 * r2 * r2
+        g = d.k1 + 2.0 * d.k2 * r2
+        a = radial + 2.0 * x * x * g + 2.0 * d.p1 * y + 6.0 * d.p2 * x
+        b = 2.0 * x * y * g + 2.0 * d.p1 * x + 2.0 * d.p2 * y
+        c = radial + 2.0 * y * y * g + 6.0 * d.p1 * y + 2.0 * d.p2 * x
+        det = a * c - b * b
+        if det == 0.0:
+            break
+        sx, sy = (c * rx - b * ry) / det, (a * ry - b * rx) / det
+        lam = 1.0
+        for _ in range(10):  # backtrack: never accept a residual increase
+            cx, cy = x - lam * sx, y - lam * sy
+            ex, ey = distort((cx, cy), d)
+            crx, cry = ex - qx, ey - qy
+            crn = math.hypot(crx, cry)
+            if crn < rn:
+                x, y, rx, ry, rn = cx, cy, crx, cry, crn
+                break
+            lam *= 0.5
+        else:
+            break
+    return x, y, rn
 
 
 def undistort(pt: Tuple[float, float], d: Distortion) -> Tuple[float, float]:
     """Numerical inverse of distort: returns p with |distort(p) - pt| <=
-    UNDISTORT_TOL, after at most UNDISTORT_MAX_ITER Newton steps.
+    UNDISTORT_TOL, after at most UNDISTORT_MAX_ITER Newton steps per start.
 
-    Raises NoConvergence when the residual stays above the tolerance, which happens
-    outside the model's invertible region.
+    Raises NoConvergence when the residual stays above the tolerance, or is
+    NaN, which happens outside the model's invertible region.
     """
+    qx, qy = float(pt[0]), float(pt[1])
     if d.is_zero:
-        return (float(pt[0]), float(pt[1]))
-    q = np.array([pt[0], pt[1]], dtype=np.float64)
-    p = _radial_init(q, d)
-    resid = np.array(distort(p, d)) - q
-    rn = float(np.hypot(*resid))
-    for _ in range(UNDISTORT_MAX_ITER):
-        if rn <= 1e-13:
-            break
-        try:
-            step = np.linalg.solve(_distort_jacobian(p[0], p[1], d), resid)
-        except np.linalg.LinAlgError:
-            break
-        improved = False
-        lam = 1.0
-        for _ in range(10):  # backtrack: never accept a residual increase
-            cand = p - lam * step
-            cres = np.array(distort(cand, d)) - q
-            crn = float(np.hypot(*cres))
-            if crn < rn:
-                p, resid, rn = cand, cres, crn
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-    if rn > UNDISTORT_TOL:
-        raise NoConvergence(
-            f"residual {rn:.3e} > {UNDISTORT_TOL:.0e} at normalized point {tuple(q)}"
-        )
-    return (float(p[0]), float(p[1]))
-
-
-def _normalize(px: Tuple[float, float], k: Intrinsics) -> Tuple[float, float]:
-    return ((px[0] - k.cx) / k.fx, (px[1] - k.cy) / k.fy)
-
-
-def _project(pt: Tuple[float, float], k: Intrinsics) -> Tuple[float, float]:
-    return (k.fx * pt[0] + k.cx, k.fy * pt[1] + k.cy)
+        return (qx, qy)
+    x, y, rn = _newton(qx, qy, 1.0, d)
+    if not rn <= UNDISTORT_TOL or math.hypot(x, y) >= (fold_radius(d) or math.inf):
+        # missed, or converged on a branch past the fold: restart on the principal branch
+        x, y, rn = _newton(qx, qy, _radial_init(qx, qy, d), d)
+    if not rn <= UNDISTORT_TOL:
+        raise NoConvergence(f"residual {rn:.3e} > {UNDISTORT_TOL:.0e} at normalized point {(qx, qy)}")
+    return (x, y)
 
 
 def transfer_point(px: Tuple[float, float], pair: CameraPair) -> Tuple[float, float]:
@@ -235,12 +231,15 @@ def transfer_point(px: Tuple[float, float], pair: CameraPair) -> Tuple[float, fl
     points at infinity) -> distort -> pixel. The result may fall outside
     the event sensor; callers clamp.
     """
-    xn, yn = undistort(_normalize(px, pair.cam_rgb.intrinsics), pair.cam_rgb.distortion)
-    ray = pair.extrinsics.rotation @ np.array([xn, yn, 1.0])
-    if ray[2] <= 0.0:
-        raise BehindCamera(f"rotated ray has depth {ray[2]:.6f}")
-    pd = distort((ray[0] / ray[2], ray[1] / ray[2]), pair.cam_dvs.distortion)
-    return _project(pd, pair.cam_dvs.intrinsics)
+    k = pair.cam_rgb.intrinsics
+    xn, yn = undistort(((px[0] - k.cx) / k.fx, (px[1] - k.cy) / k.fy), pair.cam_rgb.distortion)
+    (a, b, c), (e, f, g), (h, i, j) = pair.extrinsics._rows
+    z = h * xn + i * yn + j
+    if z <= 0.0:
+        raise BehindCamera(f"rotated ray has depth {z:.6f}")
+    xd, yd = distort(((a * xn + b * yn + c) / z, (e * xn + f * yn + g) / z), pair.cam_dvs.distortion)
+    k = pair.cam_dvs.intrinsics
+    return (k.fx * xd + k.cx, k.fy * yd + k.cy)
 
 
 @dataclass(frozen=True)

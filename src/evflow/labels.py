@@ -18,6 +18,7 @@ extra columns ignored):
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import asdict, dataclass
@@ -39,6 +40,9 @@ class BBox:
     h: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)
+                and math.isfinite(self.w) and math.isfinite(self.h)):
+            raise ValueError(f"box fields must be finite, got {self}")
         if self.w < 0 or self.h < 0:
             raise ValueError(f"box size must be non-negative, got {self.w}x{self.h}")
 
@@ -112,14 +116,12 @@ def interpolate_track(t: Track, frame_idx: int):
     if kf.frame_idx == frame_idx:
         return kf.box
     nxt = t.keyframes[j + 1]
-    a, b = kf.box, nxt.box
-    f = (frame_idx - kf.frame_idx) / (nxt.frame_idx - kf.frame_idx)
-    return BBox(
-        a.x + f * (b.x - a.x),
-        a.y + f * (b.y - a.y),
-        a.w + f * (b.w - a.w),
-        a.h + f * (b.h - a.h),
-    )
+    return _lerp(kf.box, nxt.box, (frame_idx - kf.frame_idx) / (nxt.frame_idx - kf.frame_idx))
+
+
+def _lerp(a: BBox, b: BBox, f: float) -> BBox:
+    return BBox(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y),
+                a.w + f * (b.w - a.w), a.h + f * (b.h - a.h))
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -157,26 +159,48 @@ def _match_all(
     order); each takes the untaken ground truth of its own frame with the
     highest IoU if that IoU reaches iou_thresh. flags[k] says whether the
     k-th detection in that order matched.
+
+    The IoUs of all (detection, ground truth of its frame) pairs come from
+    one numpy pass with iou's operation order, so they equal iou's values;
+    only the greedy claim runs per pair in Python.
     """
-    n_gt = sum(len(v) for v in all_gts.values())
+    span: Dict[int, Tuple[int, int]] = {}  # frame -> (its first row in gt_xywh, count)
+    gt_xywh: List[Tuple[float, float, float, float]] = []
+    for f, boxes in all_gts.items():
+        span[f] = (len(gt_xywh), len(boxes))
+        gt_xywh.extend((g.x, g.y, g.w, g.h) for g in boxes)
     order = sorted(range(len(all_dets)), key=lambda i: -all_dets[i].confidence)
-    taken_by_frame: Dict[int, List[bool]] = {f: [False] * len(v) for f, v in all_gts.items()}
+    dets = [all_dets[i] for i in order]
+    spans = [span.get(d.frame_idx, (0, 0)) for d in dets]
+    starts = np.array([s for s, _ in spans], dtype=np.int64)
+    counts = np.array([n for _, n in spans], dtype=np.int64)
+    n_pairs = int(counts.sum())
+    # pairs run detection by detection; pair k of detection i is ground truth
+    # starts[i] + k - (index of detection i's first pair)
+    pair_det = np.repeat(np.arange(len(dets)), counts)
+    pair_gt = np.arange(n_pairs) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    det_xywh = np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets], dtype=np.float64)
+    ax, ay, aw, ah = det_xywh.reshape(-1, 4)[pair_det].T
+    bx, by, bw, bh = np.array(gt_xywh, dtype=np.float64).reshape(-1, 4)[pair_gt].T
+    ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+    iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    inter = np.maximum(0.0, ix) * np.maximum(0.0, iy)
+    union = aw * ah + bw * bh - inter
+    ious = np.divide(inter, union, out=np.zeros(n_pairs), where=union > 0.0).tolist()
+    taken = [False] * len(gt_xywh)
     flags = []
-    for i in order:
-        box, f = all_dets[i].box, all_dets[i].frame_idx
-        gts, taken = all_gts.get(f, ()), taken_by_frame.get(f, [])
+    p = 0
+    for start, count in spans:
         best_j, best_iou = -1, 0.0
-        for j, g in enumerate(gts):
-            if taken[j]:
-                continue
-            v = iou(box, g)
-            if v > best_iou:
+        for j, v in enumerate(ious[p:p + count], start):
+            if v > best_iou and not taken[j]:
                 best_j, best_iou = j, v
+        p += count
         hit = best_j >= 0 and best_iou >= iou_thresh
         if hit:
             taken[best_j] = True
         flags.append(hit)
-    return flags, n_gt
+    return flags, len(gt_xywh)
 
 
 def average_precision(
@@ -214,14 +238,17 @@ def evaluate_detections(
 
 def densify_tracks(tracks: Iterable[Track]) -> Dict[int, List[BBox]]:
     """Ground-truth boxes per frame from interpolating every track: each track
-    contributes a box on every integer frame within its span."""
+    contributes a box on every integer frame within its span, the box that
+    interpolate_track gives."""
     out: Dict[int, List[BBox]] = defaultdict(list)
     for t in tracks:
-        lo, hi = t.span
-        for f in range(lo, hi + 1):
-            box = interpolate_track(t, f)
-            if box is not None:
-                out[f].append(box)
+        kfs = t.keyframes
+        for ka, kb in zip(kfs, kfs[1:]):
+            a, b = ka.box, kb.box
+            out[ka.frame_idx].append(a)
+            for i in range(ka.frame_idx + 1, kb.frame_idx):
+                out[i].append(_lerp(a, b, (i - ka.frame_idx) / (kb.frame_idx - ka.frame_idx)))
+        out[kfs[-1].frame_idx].append(kfs[-1].box)
     return dict(out)
 
 

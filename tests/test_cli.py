@@ -322,6 +322,7 @@ def test_malformed_flag_is_usage_error(capsys, argv):
     ("frame_idx,class_id,confidence,x,y,w,h", "0,0,1.5,10,10,20,20"),  # confidence > 1
     ("frame_idx,class_id,confidence,x,y,w,h", "0,0,0.9,ten,10,20,20"),  # not a number
     ("frame_idx,class_id,x,y,w,h", "0,0,10,10,20,20"),                  # no confidence column
+    ("frame_idx,class_id,confidence,x,y,w,h", "0,0,0.9,nan,10,20,20"),  # not finite
 ])
 def test_eval_malformed_detections_exit_1(tmp_path, capsys, header, row):
     dets = tmp_path / "dets.csv"

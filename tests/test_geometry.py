@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from evflow.errors import (
@@ -14,6 +16,8 @@ from evflow.errors import (
 )
 from evflow.events import SensorGeometry
 from evflow.geometry import (
+    UNDISTORT_MAX_ITER,
+    UNDISTORT_TOL,
     Camera,
     CameraPair,
     Distortion,
@@ -114,6 +118,132 @@ def test_undistort_reports_no_convergence_outside_invertible_region():
         undistort((1.5, 0.0), d)
     with pytest.raises(NoConvergence):
         undistort((1.5 / math.sqrt(2), 1.5 / math.sqrt(2)), d)
+
+
+def test_undistort_nan_is_no_convergence():
+    # NaN compares false with everything, so a residual test written as
+    # rn > tol would let a NaN point through as (nan, nan)
+    with pytest.raises(NoConvergence):
+        undistort((math.nan, 0.1), Distortion(k1=-0.1))
+
+
+def _oracle_radial_scale(r, d):
+    return r * (1.0 + d.k1 * r * r + d.k2 * r**4)
+
+
+def oracle_undistort(pt, d):
+    """The bisection-seeded damped Newton in numpy that undistort replaced:
+    seed from inverting the radial profile alone, then Newton steps solved
+    with np.linalg.solve, never accepting a residual increase. Only its
+    final tolerance test is the NaN-safe one undistort now uses."""
+    q = np.array([pt[0], pt[1]], dtype=np.float64)
+    rq = float(np.hypot(q[0], q[1]))
+    p = q.copy()
+    if rq >= 1e-12 and not (d.k1 == 0.0 and d.k2 == 0.0):
+        hi = fold_radius(d)
+        if hi is None:
+            hi = max(rq, 1.0)
+            while _oracle_radial_scale(hi, d) < rq and hi < 1e3:
+                hi *= 2.0
+        if _oracle_radial_scale(hi, d) < rq:
+            p = q * (hi / rq)
+        else:
+            lo = 0.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if _oracle_radial_scale(mid, d) < rq:
+                    lo = mid
+                else:
+                    hi = mid
+            p = q * (0.5 * (lo + hi) / rq)
+
+    def jacobian(x, y):
+        r2 = x * x + y * y
+        radial = 1.0 + d.k1 * r2 + d.k2 * r2 * r2
+        g = d.k1 + 2.0 * d.k2 * r2
+        jxy = 2.0 * x * y * g + 2.0 * d.p1 * x + 2.0 * d.p2 * y
+        return np.array([
+            [radial + 2.0 * x * x * g + 2.0 * d.p1 * y + 6.0 * d.p2 * x, jxy],
+            [jxy, radial + 2.0 * y * y * g + 6.0 * d.p1 * y + 2.0 * d.p2 * x],
+        ])
+
+    resid = np.array(distort(p, d)) - q
+    rn = float(np.hypot(*resid))
+    for _ in range(UNDISTORT_MAX_ITER):
+        if rn <= 1e-13:
+            break
+        try:
+            step = np.linalg.solve(jacobian(p[0], p[1]), resid)
+        except np.linalg.LinAlgError:
+            break
+        lam = 1.0
+        for _ in range(10):
+            cand = p - lam * step
+            cres = np.array(distort(cand, d)) - q
+            crn = float(np.hypot(*cres))
+            if crn < rn:
+                p, resid, rn = cand, cres, crn
+                break
+            lam *= 0.5
+        else:
+            break
+    if not rn <= UNDISTORT_TOL:
+        raise NoConvergence(f"residual {rn:.3e}")
+    return (float(p[0]), float(p[1]))
+
+
+@settings(max_examples=600)
+@given(
+    k1=st.integers(-500, 500), k2=st.integers(-500, 500),
+    p1=st.integers(-200, 200), p2=st.integers(-200, 200),
+    frac=st.integers(0, 1000), theta=st.integers(0, 3599),
+)
+@example(k1=320, k2=-130, p1=0, p2=0, frac=1000, theta=0)
+def test_undistort_matches_bisection_seeded_oracle(k1, k2, p1, p2, frac, theta):
+    # coefficients on a 1e-3 grid (1e-4 tangential), in [-0.5, 0.5] and
+    # [-0.02, 0.02]; tiny ones, where the oracle itself breaks down, are
+    # test_undistort_tiny_coefficients_round_trip's. Near the fold with
+    # k1 > 0 > k2, as in the explicit example, Newton from q converges to a
+    # preimage past the fold unless undistort restarts from the bisection seed.
+    d = Distortion(k1 / 1e3, k2 / 1e3, p1 / 1e4, p2 / 1e4)
+    r = 0.85 * safe_radius(d) * frac / 1e3
+    theta = math.radians(theta / 10)
+    q = distort((r * math.cos(theta), r * math.sin(theta)), d)
+    try:
+        want = oracle_undistort(q, d)
+    except NoConvergence:
+        with pytest.raises(NoConvergence):
+            undistort(q, d)
+        return
+    got = undistort(q, d)
+    assert math.hypot(got[0] - want[0], got[1] - want[1]) <= 1e-9
+
+
+@given(
+    k1=st.floats(-1e-9, 1e-9), k2=st.floats(-1e-9, 1e-9),
+    p1=st.floats(-1e-9, 1e-9), p2=st.floats(-1e-9, 1e-9),
+    x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0),
+)
+def test_undistort_tiny_coefficients_round_trip(k1, k2, p1, p2, x, y):
+    # the bisection-seeded oracle returns a far-branch point, inf or
+    # NoConvergence here, or raises OverflowError: its fold_radius treats
+    # |5 k2| < 1e-15 as 0, and 60 bisection steps cannot place a seed on a
+    # fold radius of 1e9 or more. E.g. k1=-1e-20, k2=-1e-38 at (0.9, 0.3).
+    d = Distortion(k1, k2, p1, p2)
+    est = undistort(distort((x, y), d), d)
+    assert math.hypot(est[0] - x, est[1] - y) <= 1e-9
+
+
+@given(
+    q=st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+    k=st.tuples(*[st.floats(-1e3, 1e3)] * 4),
+)
+def test_undistort_returns_or_raises_no_convergence(q, k):
+    # e.g. k1=-1e-200 at (1e100, 0), where an r**4 in the bisection seed overflows
+    try:
+        undistort(q, Distortion(*k))
+    except NoConvergence:
+        pass
 
 
 def test_distort_then_undistort_is_identity():

@@ -55,6 +55,17 @@ def test_labels_repeated_keyframe_is_bad_row():
         load_labels_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize("load,text", [
+    (load_labels_csv, "frame_idx,track_id,x,y,w,h\n0,a,1,2,3,4\n1,a,nan,2,3,4\n"),
+    (load_labels_csv, "frame_idx,track_id,x,y,w,h\n0,a,1,2,3,4\n1,a,1,2,inf,4\n"),
+    (load_detections_csv, "frame_idx,class_id,confidence,x,y,w,h\n0,0,0.5,1,2,3,4\n1,0,0.5,1,-inf,3,4\n"),
+    (load_detections_csv, "frame_idx,class_id,confidence,x,y,w,h\n0,0,0.5,1,2,3,4\n1,0,0.5,1,2,3,nan\n"),
+])
+def test_non_finite_box_is_bad_row(load, text):
+    with pytest.raises(BadRow, match="line 3: box fields must be finite"):
+        load(io.StringIO(text))
+
+
 def test_detections_read_in_any_column_order():
     text = "h,w,y,x,confidence,class_id,frame_idx,note\n4,3,2,1,0.5,7,9,hi\n"
     assert load_detections_csv(io.StringIO(text)) == [Detection(9, BBox(1, 2, 3, 4), 0.5, 7)]

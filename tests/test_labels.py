@@ -1,7 +1,10 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evflow.errors import NoGroundTruth
 from evflow.labels import (
@@ -58,6 +61,15 @@ def test_interpolation_piecewise_continuous():
     assert xs == [0, 2, 4, 6, 8, 8, 8, 8, 8, 8, 8]
     ws = [interpolate_track(t, f).w for f in range(4, 11)]
     assert ws == [10 + i for i in range(7)]
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bbox_rejects_non_finite_fields(field, value):
+    xywh = [1.0, 2.0, 3.0, 4.0]
+    xywh[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        BBox(*xywh)
 
 
 def test_track_requires_increasing_keyframes():
@@ -147,6 +159,56 @@ def test_match_against_greedy_oracle():
                 taken.add(best[1])
             expect.append(bool(cands))
         assert flags == expect and n_gt == len(gts)
+
+
+def oracle_match_all(all_dets, all_gts, iou_thresh):
+    """The per-pair loop that _match_all replaced: one iou() call per
+    (detection, untaken ground truth) pair, in ranking order."""
+    n_gt = sum(len(v) for v in all_gts.values())
+    order = sorted(range(len(all_dets)), key=lambda i: -all_dets[i].confidence)
+    taken_by_frame = {f: [False] * len(v) for f, v in all_gts.items()}
+    flags = []
+    for i in order:
+        box, f = all_dets[i].box, all_dets[i].frame_idx
+        gts, taken = all_gts.get(f, ()), taken_by_frame.get(f, [])
+        best_j, best_iou = -1, 0.0
+        for j, g in enumerate(gts):
+            if taken[j]:
+                continue
+            v = iou(box, g)
+            if v > best_iou:
+                best_j, best_iou = j, v
+        hit = best_j >= 0 and best_iou >= iou_thresh
+        if hit:
+            taken[best_j] = True
+        flags.append(hit)
+    return flags, n_gt
+
+
+# integer-grid boxes, zero-area ones included, so that IoUs tie exactly;
+# frames 0-3 on both sides, so some frames have detections and no ground
+# truth and others the reverse
+grid_box = st.builds(BBox, st.integers(0, 8), st.integers(0, 8), st.integers(0, 5), st.integers(0, 5))
+
+
+@settings(max_examples=300)
+@given(
+    dets=st.lists(
+        st.builds(Detection, st.integers(0, 3), grid_box, st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+        max_size=12,
+    ),
+    gts=st.dictionaries(st.integers(0, 3), st.lists(grid_box, max_size=5), max_size=4),
+    thresh=st.one_of(st.sampled_from([1 / 3, 0.5, 1.0]), st.floats(0.01, 1.0)),
+)
+# the first detection ties at IoU 1/3 between both ground truths and must
+# take the first; the second then finds only the one it does not overlap
+@example(
+    dets=[det(0, 1, 0, 2, 2, 0.9), det(0, 0, 0, 2, 2, 0.5)],
+    gts={0: [BBox(0, 0, 2, 2), BBox(2, 0, 2, 2)]},
+    thresh=1 / 3,
+)
+def test_match_all_equals_per_pair_oracle(dets, gts, thresh):
+    assert _match_all(dets, gts, thresh) == oracle_match_all(dets, gts, thresh)
 
 
 def test_match_validates_threshold():
@@ -278,6 +340,34 @@ def test_detections_csv_round_trip():
     write_detections_csv(dets, buf)
     buf.seek(0)
     assert load_detections_csv(buf) == dets
+
+
+finite_box = st.builds(
+    BBox, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(0.0, 1e3), st.floats(0.0, 1e3)
+)
+track_keyframes = st.lists(st.tuples(st.integers(1, 6), finite_box), min_size=1, max_size=6)
+
+
+@settings(max_examples=200)
+@given(
+    starts=st.lists(st.integers(0, 10), min_size=1, max_size=3),
+    steps=st.lists(track_keyframes, min_size=3, max_size=3),
+)
+def test_densify_tracks_equals_interpolate_track_on_every_frame(starts, steps):
+    tracks = []
+    for n, (start, kfs) in enumerate(zip(starts, steps)):
+        frame, keyframes = start, []
+        for gap, box in kfs:
+            keyframes.append(Keyframe(frame, box))
+            frame += gap
+        tracks.append(Track(n, tuple(keyframes)))
+    want = {}
+    for t in tracks:
+        lo, hi = t.span
+        for f in range(lo, hi + 1):
+            want.setdefault(f, []).append(interpolate_track(t, f))
+    got = densify_tracks(tracks)
+    assert got == want and list(got) == list(want)
 
 
 def test_densify_tracks_interpolates_span():
