@@ -5,7 +5,7 @@ pixel coordinates, and a polarity (brighter / darker). Streams keep events
 in non-decreasing timestamp order and store them as column arrays so that
 windowing and accumulation stay vectorized.
 
-Binary format EVB1 (little-endian throughout):
+Binary format EVB1 (little-endian throughout), header struct format "<4sHH":
 
     magic "EVB1" | width u16 | height u16 | N x record
     record (13 bytes): t u64 (microseconds) | x u16 | y u16 | p u8 (1/0)
@@ -14,6 +14,7 @@ Binary format EVB1 (little-endian throughout):
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +30,8 @@ from .errors import (
 )
 
 EVB1_MAGIC = b"EVB1"
-HEADER_SIZE = 8
+_EVB1_HEADER = struct.Struct("<4sHH")  # magic, width, height
+HEADER_SIZE = _EVB1_HEADER.size
 RECORD_SIZE = 13
 T_MAX = 2**64 - 1  # the largest u64 timestamp
 
@@ -125,13 +127,9 @@ class EventStream:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
-        return (
-            self.geometry == other.geometry
-            and self.t.shape == other.t.shape
-            and bool(np.all(self.t == other.t))
-            and bool(np.all(self.x == other.x))
-            and bool(np.all(self.y == other.y))
-            and bool(np.all(self.p == other.p))
+        return self.geometry == other.geometry and all(
+            np.array_equal(a, b)
+            for a, b in zip((self.t, self.x, self.y, self.p), (other.t, other.x, other.y, other.p))
         )
 
     def __repr__(self) -> str:
@@ -148,8 +146,7 @@ def decode_stream(blob: bytes) -> EventStream:
         raise BadMagic(f"expected {EVB1_MAGIC!r}, got {bytes(blob[:4])!r}")
     if len(blob) < HEADER_SIZE:
         raise TruncatedRecord(f"header needs {HEADER_SIZE} bytes, got {len(blob)}")
-    width = int.from_bytes(blob[4:6], "little")
-    height = int.from_bytes(blob[6:8], "little")
+    _, width, height = _EVB1_HEADER.unpack_from(blob)
     body = len(blob) - HEADER_SIZE
     if body % RECORD_SIZE:
         raise TruncatedRecord(f"payload of {body} bytes is not a multiple of {RECORD_SIZE}")
@@ -157,25 +154,14 @@ def decode_stream(blob: bytes) -> EventStream:
         raise BadMagic(f"sensor sides must be positive, got {width}x{height}")
     geom = SensorGeometry(width, height)
     rec = np.frombuffer(blob, dtype=_RECORD_DTYPE, offset=HEADER_SIZE)
-    # field views on a 13-byte packed dtype are strided; copy them out once
-    return EventStream(
-        geom,
-        np.ascontiguousarray(rec["t"]),
-        np.ascontiguousarray(rec["x"]),
-        np.ascontiguousarray(rec["y"]),
-        np.ascontiguousarray(rec["p"]),
-    )
+    # field views on a 13-byte packed dtype are strided; EventStream copies them out once
+    return EventStream(geom, rec["t"], rec["x"], rec["y"], rec["p"])
 
 
 def encode_stream(s: EventStream) -> bytes:
     """Serialize to EVB1; decode_stream(encode_stream(s)) == s bit-exactly."""
-    rec = np.empty(len(s), dtype=_RECORD_DTYPE)
-    rec["t"] = s.t
-    rec["x"] = s.x
-    rec["y"] = s.y
-    rec["p"] = s.p
-    header = EVB1_MAGIC + s.width.to_bytes(2, "little") + s.height.to_bytes(2, "little")
-    return header + rec.tobytes()
+    rec = np.rec.fromarrays([s.t, s.x, s.y, s.p], dtype=_RECORD_DTYPE)
+    return _EVB1_HEADER.pack(EVB1_MAGIC, s.width, s.height) + rec.tobytes()
 
 
 def validate(s: EventStream) -> ValidationReport:

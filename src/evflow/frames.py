@@ -9,8 +9,9 @@ window_frames is the one cutter of the window grid [k*T, (k+1)*T): one
 search finds every edge, then frames are made lazily. The pipeline, sync
 and the CLI all read their frames from it.
 
-A frame's cost follows the events in its window: they are counted by sorting
-their cell indices, and the sensor's 2*W*H cells cost only one zeroed
+A frame's cost follows the events in its window: np.unique sorts their
+polarity-extended cell indices (y*W + x, plus W*H for positive events) and
+counts each run, and the sensor's 2*W*H cells cost only one zeroed
 allocation, so an empty window is one calloc.
 
 area_sum is the one resampler, for downscale and sync. Output cell j of n_out
@@ -18,7 +19,7 @@ overlaps input cell i of n_in by an integer count of 1/n_out input cells, so
 each output cell is S / D: S an integer-weighted band sum, D = h*w. downscale
 rounds exactly half up as (2S + D) // (2D).
 
-Frame dump format PFR1 (little-endian):
+Frame dump format PFR1 (little-endian), header struct format "<4sHHQQ":
 
     magic "PFR1" | width u16 | height u16 | t0 u64 | duration u64
     | pos channel row-major bytes | neg channel row-major bytes
@@ -27,6 +28,7 @@ Frame dump format PFR1 (little-endian):
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -37,6 +39,7 @@ from .errors import InvalidWindow, TruncatedRecord, UpscaleUnsupported, BadMagic
 from .events import T_MAX, EventStream, slice_interval
 
 PFR1_MAGIC = b"PFR1"
+_PFR1_HEADER = struct.Struct("<4sHHQQ")  # magic, width, height, t0, duration
 SATURATION = 255
 DEFAULT_WINDOW_US = 33_333  # 30 fps operating point
 
@@ -75,20 +78,16 @@ class PolarityFrame:
 def _count_frame(s: EventStream, lo: int, hi: int, t0: int, duration: int) -> PolarityFrame:
     w, h = s.width, s.height
     cells = w * h
-    # sort a polarity-extended flat index and write each run's length, so the
+    # count runs of a sorted polarity-extended flat index (np.unique), so the
     # work follows the window's events; only the zeroed frame is sized by the sensor
     flat = s.y[lo:hi].astype(np.uint32)
     flat *= np.uint32(w)
     flat += s.x[lo:hi]
     flat += s.p[lo:hi].astype(np.uint32) * np.uint32(cells)
-    flat.sort()
-    first = np.ones(flat.size, dtype=bool)  # first event of each run of one cell
-    np.not_equal(flat[1:], flat[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    cell, n = np.unique(flat, return_counts=True)
     counts = np.zeros(2 * cells, dtype=np.uint8)
-    counts[flat[starts]] = np.minimum(np.diff(starts, append=flat.size), SATURATION)
-    neg = counts[:cells].reshape(h, w)
-    pos = counts[cells:].reshape(h, w)
+    counts[cell] = np.minimum(n, SATURATION)
+    neg, pos = counts.reshape(2, h, w)
     return PolarityFrame(w, h, t0, duration, pos, neg)
 
 
@@ -110,7 +109,7 @@ def window_frames(
 
     first and last default to the windows of the first and last event;
     with a default end an empty stream yields nothing. Windows without
-    events yield all-zero frames.
+    events yield all-zero frames; a negative first raises InvalidWindow.
     """
     if not 0 < duration <= T_MAX:
         raise InvalidWindow(f"integration window must be in 1..2^64-1 us, got {duration}")
@@ -118,6 +117,8 @@ def window_frames(
         return
     k0 = int(s.t[0] // duration) if first is None else first
     k1 = int(s.t[-1] // duration) if last is None else last
+    if k0 < 0:
+        raise InvalidWindow(f"window indices must be non-negative, got first={k0}")
     # edges past T_MAX bound at len(s); one search finds all the others
     fit = max(min(k1 + 1, T_MAX // duration) - k0 + 1, 0)
     bounds = np.full(max(k1 - k0 + 2, 0), len(s))
@@ -176,32 +177,22 @@ def downscale(f: PolarityFrame, out_w: int, out_h: int) -> PolarityFrame:
 
 def activity(f: PolarityFrame) -> np.ndarray:
     """Per-pixel pos + neg as uint16 (no saturation loss at 8 bits)."""
-    return f.pos.astype(np.uint16) + f.neg.astype(np.uint16)
+    return np.add(f.pos, f.neg, dtype=np.uint16)
 
 
 def write_pfr1(f: PolarityFrame) -> bytes:
-    header = (
-        PFR1_MAGIC
-        + f.width.to_bytes(2, "little")
-        + f.height.to_bytes(2, "little")
-        + int(f.t0).to_bytes(8, "little")
-        + int(f.duration).to_bytes(8, "little")
-    )
+    header = _PFR1_HEADER.pack(PFR1_MAGIC, f.width, f.height, int(f.t0), int(f.duration))
     return header + f.pos.tobytes() + f.neg.tobytes()
 
 
 def read_pfr1(blob: bytes) -> PolarityFrame:
     if blob[:4] != PFR1_MAGIC:
         raise BadMagic(f"expected {PFR1_MAGIC!r}, got {bytes(blob[:4])!r}")
-    if len(blob) < 24:
-        raise TruncatedRecord(f"header needs 24 bytes, got {len(blob)}")
-    w = int.from_bytes(blob[4:6], "little")
-    h = int.from_bytes(blob[6:8], "little")
-    t0 = int.from_bytes(blob[8:16], "little")
-    duration = int.from_bytes(blob[16:24], "little")
-    need = 24 + 2 * w * h
+    if len(blob) < _PFR1_HEADER.size:
+        raise TruncatedRecord(f"header needs {_PFR1_HEADER.size} bytes, got {len(blob)}")
+    _, w, h, t0, duration = _PFR1_HEADER.unpack_from(blob)
+    need = _PFR1_HEADER.size + 2 * w * h
     if len(blob) != need:
         raise TruncatedRecord(f"expected {need} bytes for {w}x{h}, got {len(blob)}")
-    pos = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=24).reshape(h, w).copy()
-    neg = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=24 + w * h).reshape(h, w).copy()
+    pos, neg = np.frombuffer(blob, dtype=np.uint8, offset=_PFR1_HEADER.size).reshape(2, h, w).copy()
     return PolarityFrame(w, h, t0, duration, pos, neg)

@@ -124,21 +124,21 @@ def distort(pt: Tuple[float, float], d: Distortion) -> Tuple[float, float]:
 def fold_radius(d: Distortion) -> float | None:
     """Smallest radius where the radial profile r(1 + k1 r^2 + k2 r^4) folds.
 
-    None when the profile is monotone for all r > 0 (e.g. barrel-free
-    lenses with non-negative coefficients).
+    That is sqrt(u) for the smallest positive root u of its derivative
+    1 + 3 k1 u + 5 k2 u^2, solved without cancellation. None when the
+    profile is monotone for all r > 0 (e.g. barrel-free lenses with
+    non-negative coefficients).
     """
     a, b = 5.0 * d.k2, 3.0 * d.k1
-    cands = []
-    if abs(a) < 1e-15:
-        if b < 0.0:
-            cands.append(math.sqrt(-1.0 / b))
+    if d.k2 == 0.0:
+        roots = (-1.0 / b,) if b else ()
+    elif b * b - 4.0 * a < 0.0:
+        roots = ()
     else:
-        disc = b * b - 4.0 * a
-        if disc >= 0.0:
-            for u in ((-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a)):
-                if u > 0.0:
-                    cands.append(math.sqrt(u))
-    return min(cands) if cands else None
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a), b))
+        roots = (q / a, 1.0 / q)  # the two roots' product is 1 / a
+    positive = [u for u in roots if u > 0.0]
+    return math.sqrt(min(positive)) if positive else None
 
 
 def _radial_scale(r: float, d: Distortion) -> float:
@@ -147,15 +147,13 @@ def _radial_scale(r: float, d: Distortion) -> float:
 
 def _radial_init(qx: float, qy: float, d: Distortion) -> float:
     """Scale s that seeds Newton at s * q, from inverting the radial profile
-    alone by bisection."""
+    alone by bisection on [0, fold radius], or on [0, 3 |q|] when there is
+    no fold: then 1 + k1 u + k2 u^2 > 4/9 for all u, so the preimage radius
+    is below 2.25 |q|."""
     rq = math.hypot(qx, qy)
     if rq < 1e-12 or (d.k1 == 0.0 and d.k2 == 0.0):
         return 1.0
-    hi = fold_radius(d)
-    if hi is None:
-        hi = max(rq, 1.0)
-        while _radial_scale(hi, d) < rq and hi < 1e3:
-            hi *= 2.0
+    hi = fold_radius(d) or 3.0 * rq
     if _radial_scale(hi, d) < rq:
         # target beyond the principal branch; start at the fold and let
         # Newton report the residual honestly

@@ -48,6 +48,8 @@ def read_netpbm(blob: bytes) -> np.ndarray:
         fields.append(int(blob[start:pos]))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if not (w and h):
+        raise BadMagic(f"image sides must be positive, got {w}x{h}")
     if maxval != 255:
         raise BadMagic(f"only maxval 255 supported, got {maxval}")
     channels = 1 if magic == b"P5" else 3

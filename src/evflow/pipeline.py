@@ -66,6 +66,8 @@ class PipelineConfig:
             raise ConfigInvalid(f"batch_size must be >= 1, got {self.batch_size}")
         if cap < self.batch_size:
             raise ConfigInvalid(f"queue_capacity {cap} < batch_size {self.batch_size}")
+        if self.downscale_to is not None and min(self.downscale_to) < 1:
+            raise ConfigInvalid(f"downscale_to sides must be >= 1, got {self.downscale_to}")
         if self.stub_activity_thresh < 1:  # 0 would make every cell of every window a blob
             raise ConfigInvalid(f"stub_activity_thresh must be >= 1, got {self.stub_activity_thresh}")
         return cap
@@ -86,8 +88,7 @@ def pipeline_from_config(values: Dict[str, str]) -> PipelineConfig:
     if "detector" in values:
         cfg.detector = values["detector"]
     if values.get("downscale_to", "none").lower() != "none":
-        w, h = numbers(values, "downscale_to", 2)
-        cfg.downscale_to = (int(w), int(h))
+        cfg.downscale_to = tuple(numbers(values, "downscale_to", 2, int))
     cfg.validated_capacity()
     return cfg
 
@@ -167,14 +168,8 @@ def _replay_detector(path: str) -> DetectorFn:
 
 
 def _percentiles(samples: List[float]) -> Dict[str, float]:
-    if not samples:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-    arr = np.asarray(samples)
-    return {
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-    }
+    values = np.percentile(samples, (50, 95, 99)) if samples else (0.0, 0.0, 0.0)
+    return {k: float(v) for k, v in zip(("p50", "p95", "p99"), values)}
 
 
 def _resolve_threads(threads: Optional[int]) -> int:

@@ -7,7 +7,7 @@ import pytest
 
 from evflow.cli import main
 from evflow.events import SensorGeometry, decode_stream
-from evflow.frames import read_pfr1
+from evflow.frames import downscale, read_pfr1, window_frames
 from evflow.labels import (
     BBox,
     Detection,
@@ -45,6 +45,13 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def synth_recording(tmp_path, capsys, seconds):
+    ev = tmp_path / "rec.evb1"
+    assert main(["synth", "--config", write_traj_cfg(tmp_path, seconds), "--out", str(ev)]) == 0
+    capsys.readouterr()
+    return str(ev)
+
+
 def test_synth_writes_events_and_truth(tmp_path, capsys):
     cfg = write_traj_cfg(tmp_path, 1.0)
     ev = tmp_path / "rec.evb1"
@@ -74,6 +81,22 @@ def test_accumulate_one_second_gives_30_frames(tmp_path, capsys):
     assert len(list(out_dir.glob("*.ppm"))) == 30
 
 
+def test_accumulate_downscale_writes_the_downscaled_frames(tmp_path, capsys):
+    ev = synth_recording(tmp_path, capsys, 0.2)
+    out_dir = tmp_path / "frames"
+    code, _, _ = run_cli(capsys, "accumulate", "--events", ev,
+                         "--out-dir", str(out_dir), "--downscale", "320,240")
+    assert code == 0
+    with open(ev, "rb") as fh:
+        stream = decode_stream(fh.read())
+    want = [downscale(f, 320, 240) for f in window_frames(stream, 33_333)]
+    got = [read_pfr1(p.read_bytes()) for p in sorted(out_dir.glob("*.pfr1"))]
+    assert len(got) == len(want) == 7  # 0.2 s reaches into a seventh window
+    for g, w in zip(got, want):
+        assert (g.width, g.height, g.t0, g.duration) == (320, 240, w.t0, 33_333)
+        assert np.array_equal(g.pos, w.pos) and np.array_equal(g.neg, w.neg)
+
+
 def test_eval_perfect_detections(tmp_path, capsys):
     track = Track("d", tuple(Keyframe(k, BBox(10.0 * k, 5, 20, 20)) for k in range(5)))
     truth = tmp_path / "truth.csv"
@@ -87,6 +110,23 @@ def test_eval_perfect_detections(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["ap"] == 1.0
     assert doc["tp"] == 5 and doc["fp"] == 0 and doc["fn"] == 0
+
+
+def test_eval_iou_threshold_decides_matches(tmp_path, capsys):
+    track = Track("d", tuple(Keyframe(k, BBox(10.0 * k, 5, 20, 20)) for k in range(5)))
+    truth = tmp_path / "truth.csv"
+    write_labels_csv([track], str(truth))
+    # shifted by 4 px: IoU = 320 / 480 = 2/3 with every ground-truth box
+    dets = [Detection(k, BBox(10.0 * k + 4, 5, 20, 20), 0.9) for k in range(5)]
+    det_path = tmp_path / "dets.csv"
+    write_detections_csv(dets, str(det_path))
+    for thresh, tp in (("0.6", 5), ("0.7", 0)):
+        code, out, _ = run_cli(capsys, "eval", "--detections", str(det_path),
+                               "--truth", str(truth), "--iou", thresh)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["tp"], doc["fp"], doc["fn"]) == (tp, 5 - tp, 5 - tp)
+        assert doc["ap"] == (1.0 if tp else 0.0)
 
 
 def test_bench_table_shows_batch16_below_one_second(tmp_path, capsys):
@@ -118,29 +158,75 @@ def test_bench_with_power_trace(tmp_path, capsys):
     assert row["mean_power_w"] == pytest.approx(10.0)
 
 
-def test_sync_recovers_delay(tmp_path, capsys):
-    cfg = write_traj_cfg(tmp_path, 2.0)
-    ev = tmp_path / "rec.evb1"
-    assert main(["synth", "--config", cfg, "--out", str(ev)]) == 0
-    capsys.readouterr()
+def test_bench_window_integrates_only_inside_it(tmp_path, capsys):
+    lat = tmp_path / "lat.csv"
+    lat.write_text("batch_size,latency_ms\n1,50\n")
+    trace = tmp_path / "power.csv"
+    rows = ["t_s,voltage_v,current_a"]  # 10 W before t = 0.5 s, 20 W from then on
+    for i in range(2001):
+        rows.append(f"{i * 0.0005:.6f},10,{1 if i < 1000 else 2}")
+    trace.write_text("\n".join(rows) + "\n")
+    code, out, _ = run_cli(capsys, "bench", "--latency-table", str(lat),
+                           "--trace", f"1={trace}:40", "--window", "0.6:1.0", "--json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["energy_mj_per_frame"] == pytest.approx(200.0)  # 20 W * 0.4 s / 40 frames
+    assert row["mean_power_w"] == pytest.approx(20.0)
 
-    geom = SensorGeometry(640, 480)
+
+SYNC_DELAY = 3
+
+
+def write_delayed_frames(frames_dir, encode=lambda img: ("pgm", write_pgm(img)), n=60):
+    """The recording's gray frames, delayed by SYNC_DELAY, as frame_NNNN.<ext> files."""
     traj = DiscTrajectory((70.0, 80.0), (95.0, 40.0), 14.0, 2.0, 700.0)
-    gray = render_gray_frames(traj, geom, 33_333, 60)
-    delay = 3
-    delayed = [gray[0]] * delay + gray[:-delay]
-    frames_dir = tmp_path / "rgb"
+    gray = render_gray_frames(traj, SensorGeometry(640, 480), 33_333, 60)
+    delayed = [gray[0]] * SYNC_DELAY + gray[:-SYNC_DELAY]
     frames_dir.mkdir()
-    for i, img in enumerate(delayed):
-        (frames_dir / f"frame_{i:04d}.pgm").write_bytes(write_pgm(img))
+    for i, img in enumerate(delayed[:n]):
+        ext, blob = encode(img)
+        (frames_dir / f"frame_{i:04d}.{ext}").write_bytes(blob)
+    return str(frames_dir)
 
-    code, out, _ = run_cli(capsys, "sync", "--events", str(ev),
-                           "--frames-dir", str(frames_dir),
-                           "--frame-period-us", "33333", "--max-offset", "6")
+
+def commented_ppm(img):
+    """A colour copy of a gray image (equal channels) with # comments in its header."""
+    h, w = img.shape
+    header = f"P6\n# colour copy\n{w} {h}  # sides\n255\n".encode()
+    return "ppm", header + np.repeat(img[:, :, None], 3, axis=2).tobytes()
+
+
+def run_sync(capsys, ev, frames_dir, *extra):
+    return run_cli(capsys, "sync", "--events", ev, "--frames-dir", frames_dir,
+                   "--frame-period-us", "33333", "--max-offset", "6", *extra)
+
+
+def test_sync_recovers_delay(tmp_path, capsys):
+    ev = synth_recording(tmp_path, capsys, 2.0)
+    report = tmp_path / "sync.json"
+    code, out, _ = run_sync(capsys, ev, write_delayed_frames(tmp_path / "rgb"),
+                            "--out", str(report))
     assert code == 0
     doc = json.loads(out)
-    assert abs(doc["best_offset"] - delay) <= 1
+    assert abs(doc["best_offset"] - SYNC_DELAY) <= 1
     assert len(doc["curve"]) == 13
+    assert report.read_text() == out
+
+
+def test_sync_reads_commented_colour_frames(tmp_path, capsys):
+    ev = synth_recording(tmp_path, capsys, 2.0)
+    _, gray_out, _ = run_sync(capsys, ev, write_delayed_frames(tmp_path / "gray"))
+    code, out, _ = run_sync(capsys, ev, write_delayed_frames(tmp_path / "rgb", commented_ppm))
+    assert code == 0
+    assert json.loads(out) == json.loads(gray_out)  # BT.601 of equal channels is the gray
+
+
+def test_sync_needs_two_frames(tmp_path, capsys):
+    ev = synth_recording(tmp_path, capsys, 0.2)
+    code, _, err = run_sync(capsys, ev, write_delayed_frames(tmp_path / "rgb", n=1))
+    assert code == 1
+    assert err.startswith("error: MissingInput: need at least two frames")
+    assert len(err.strip().splitlines()) == 1
 
 
 CALIB_DOC = (
@@ -170,6 +256,24 @@ def test_transfer_labels_identity_calibration(tmp_path, capsys):
         assert kf.box.w == pytest.approx(ref.box.w, abs=1e-6)
 
 
+def test_transfer_labels_reports_skipped_boxes(tmp_path, capsys):
+    # the second keyframe lies past the 640x480 sensor under the identity calibration
+    track = Track("d", (Keyframe(0, BBox(100, 120, 40, 30)),
+                        Keyframe(5, BBox(900, 700, 40, 30))))
+    labels = tmp_path / "labels.csv"
+    write_labels_csv([track], str(labels))
+    calib = tmp_path / "calib.txt"
+    calib.write_text(CALIB_DOC)
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "transfer-labels", "--labels", str(labels),
+                             "--calib", str(calib), "--out", str(out_csv))
+    assert code == 0
+    assert err == "skipped 1 box(es) falling off the event sensor\n"
+    assert out == f"wrote 1 boxes to {out_csv}\n"
+    (moved,) = load_labels_csv(str(out_csv))
+    assert [kf.frame_idx for kf in moved.keyframes] == [0]
+
+
 def test_run_full_pipeline_report(tmp_path, capsys):
     cfg = write_traj_cfg(tmp_path, 999_990e-6)  # exactly 30 windows
     ev = tmp_path / "rec.evb1"
@@ -182,14 +286,17 @@ def test_run_full_pipeline_report(tmp_path, capsys):
         "detector = stub\nstub_min_area = 20\n"
     )
     dets_out = tmp_path / "dets.csv"
+    report = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "run", "--events", str(ev), "--config", str(pipe_cfg),
-                           "--truth", str(truth), "--detections-out", str(dets_out))
+                           "--truth", str(truth), "--detections-out", str(dets_out),
+                           "--report", str(report))
     assert code == 0
     doc = json.loads(out)
     assert doc["frames_produced"] == 30
     assert doc["frames_dropped"] == 0
     assert doc["eval"]["ap"] >= 0.9
     assert dets_out.exists()
+    assert report.read_text() == out
 
 
 def test_run_default_capacity_drops_nothing(tmp_path, capsys):
@@ -208,6 +315,17 @@ def test_run_default_capacity_drops_nothing(tmp_path, capsys):
     assert doc["frames_dropped"] == 0
     assert doc["labels_skipped"] == 0
     assert doc["eval"]["ap"] >= 0.9
+
+
+@pytest.mark.parametrize("size", ["0 0", "32 -5", "1.5 2.7"])
+def test_run_non_positive_downscale_exits_1(tmp_path, capsys, size):
+    ev = synth_recording(tmp_path, capsys, 0.2)
+    pipe_cfg = tmp_path / "pipe.cfg"
+    pipe_cfg.write_text(f"downscale_to = {size}\n")
+    code, _, err = run_cli(capsys, "run", "--events", ev, "--config", str(pipe_cfg))
+    assert code == 1
+    assert err.startswith("error: ConfigInvalid: downscale_to")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_data_error_exits_1(tmp_path, capsys):

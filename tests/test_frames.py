@@ -169,6 +169,12 @@ def test_window_frames_hold_an_event_at_the_last_timestamp(T):
         assert_same_frame(f, accumulate(s, f.t0, T))
 
 
+def test_window_frames_negative_first_is_invalid_window():
+    s = random_stream(SMALL, 100, seed=3, t_max=20)
+    with pytest.raises(InvalidWindow, match="non-negative"):
+        list(window_frames(s, 10, -1, 2))
+
+
 def test_window_past_the_uint64_range_is_rejected():
     s = EventStream(SensorGeometry(4, 4), [1], [0], [0], [1])
     with pytest.raises(InvalidWindow):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -93,6 +94,35 @@ def safe_radius(d: Distortion) -> float:
                 if u > 0:
                     cands.append(math.sqrt(u))
     return min(cands)
+
+
+def decimal_fold_radius(k1, k2):
+    """sqrt of the smallest positive root of 1 + 3 k1 u + 5 k2 u^2, in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = 5 * Decimal(k2), 3 * Decimal(k1)
+        if a == 0:
+            roots = [-1 / b] if b else []
+        elif b * b - 4 * a < 0:
+            roots = []
+        else:
+            s = (b * b - 4 * a).sqrt()
+            roots = [(-b - s) / (2 * a), (-b + s) / (2 * a)]
+        positive = [u for u in roots if u > 0]
+        return float(min(positive).sqrt()) if positive else None
+
+
+@pytest.mark.parametrize("k1,k2", [
+    (-1e-20, -1e-38),  # folds at 2.045e9: k2 matters although |5 k2| is far below 1e-15
+    (0.06, -0.01), (-0.12, 0.03), (0.32, -0.13), (-5.0, 0.0), (0.0, -0.2), (0.3, 0.0),
+    (1e-9, -1e-9), (-0.5, 0.0625), (0.0, -1e-300),
+])
+def test_fold_radius_equals_decimal_root(k1, k2):
+    want = decimal_fold_radius(k1, k2)
+    got = fold_radius(Distortion(k1, k2))
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_undistort_round_trip_random_coefficients():

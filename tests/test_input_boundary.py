@@ -84,6 +84,9 @@ def test_latency_table_rejects_impossible_rows(row):
     b"P5\nab 2\n255\n",             # non-numeric width
     b"P5\n-1 -1\n255\n\x00",        # negative sides
     b"P5\n1 1\n65535\n\x00\x00",   # 16-bit samples
+    b"P5 0 0 255",                  # zero sides, no byte after maxval
+    b"P5 0 5 255",
+    b"P6 4 0 255\n",
 ])
 def test_netpbm_unsupported_header_is_bad_magic(blob):
     with pytest.raises(BadMagic):
@@ -138,8 +141,9 @@ HEADER_FIELD = st.integers(-1, 70_000)
     (read_pfr1, st.tuples(SIDE, SIDE, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)).map(
         lambda v: PFR1_MAGIC + struct.pack("<HHQQ", *v))),
     (read_netpbm, st.sampled_from([b"P5 ", b"P6 "]) | st.tuples(
-        st.sampled_from(["P5", "P6"]), HEADER_FIELD, HEADER_FIELD, HEADER_FIELD
-    ).map(lambda v: "{} {} {} {}\n".format(*v).encode())),
+        st.sampled_from(["P5", "P6"]), HEADER_FIELD, HEADER_FIELD, HEADER_FIELD,
+        st.sampled_from(["\n", ""]),  # maxval may end the blob
+    ).map(lambda v: "{} {} {} {}{}".format(*v).encode())),
 ], ids=["evb1", "pfr1", "netpbm"])
 @settings(max_examples=100)
 @given(data=st.data())

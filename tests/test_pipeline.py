@@ -379,6 +379,9 @@ def test_pipeline_config_validation():
     with pytest.raises(ConfigInvalid):
         run_pipeline(EventStream.empty(GEOM), PipelineConfig(batch_size=4, queue_capacity=2),
                      threads=1)
+    for size in ((0, 0), (32, -5)):
+        with pytest.raises(ConfigInvalid, match="downscale_to"):
+            run_pipeline(EventStream.empty(GEOM), PipelineConfig(downscale_to=size), threads=1)
 
 
 def test_pipeline_from_config_reads_every_key():
@@ -399,6 +402,9 @@ def test_pipeline_from_config_reads_every_key():
     {"downscale_to": "320 inf"},
     {"batch_size": "4", "queue_capacity": "2"},
     {"stub_activity_thresh": "0"},
+    {"downscale_to": "0 0"},
+    {"downscale_to": "32 -5"},
+    {"downscale_to": "1.5 2.7"},
 ])
 def test_pipeline_from_config_rejects_malformed_value(values):
     with pytest.raises(ConfigInvalid):
