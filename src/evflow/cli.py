@@ -106,9 +106,8 @@ def _cmd_accumulate(args) -> int:
     stream = _load_events(args.events)
     os.makedirs(args.out_dir, exist_ok=True)
     n = 0
-    for n, f in enumerate(frames_mod.window_frames(stream, args.window_us), 1):
-        if args.downscale:
-            f = frames_mod.downscale(f, *args.downscale)
+    frames = frames_mod.window_frames(stream, args.window_us, size=args.downscale)
+    for n, f in enumerate(frames, 1):
         base = os.path.join(args.out_dir, f"frame_{f.frame_index:06d}")
         with open(base + ".pfr1", "wb") as fh:
             fh.write(frames_mod.write_pfr1(f))

@@ -7,17 +7,23 @@ activity white and negative activity blue on black.
 
 window_frames is the one cutter of the window grid [k*T, (k+1)*T): one
 search finds every edge, then frames are made lazily. The pipeline, sync
-and the CLI all read their frames from it.
+and the CLI all read their frames from it. Each frame records its window's
+event count in `events`; a frame read back from PFR1 has None there, since
+the dump does not store it.
 
 A frame's cost follows the events in its window: np.unique sorts their
-polarity-extended cell indices (y*W + x, plus W*H for positive events) and
-counts each run, and the sensor's 2*W*H cells cost only one zeroed
-allocation, so an empty window is one calloc.
+polarity-extended cell indices (y*W + x, plus W*H for positive events) into
+runs of (cell, count saturated at 255). At full resolution the runs are
+written into one zeroed 2*W*H array, so an empty window costs one calloc that
+nothing reads (the detector skips a frame whose `events` is 0). With a size,
+window_frames never builds that array: the runs, already row-major sorted,
+are one CSR matrix of shape (2H, W), its row pointers a search of the row
+starts, and each channel is a row slice of it resampled by area_sum.
 
-area_sum is the one resampler, for downscale and sync. Output cell j of n_out
-overlaps input cell i of n_in by an integer count of 1/n_out input cells, so
-each output cell is S / D: S an integer-weighted band sum, D = h*w. downscale
-rounds exactly half up as (2S + D) // (2D).
+area_sum is the one resampler, for downscale, the runs path and sync. Output
+cell j of n_out overlaps input cell i of n_in by an integer count of 1/n_out
+input cells, so each output cell is S / D: S an integer-weighted band sum,
+D = h*w. Downscaled frames round exactly half up as (2S + D) // (2D).
 
 Frame dump format PFR1 (little-endian), header struct format "<4sHHQQ":
 
@@ -54,6 +60,7 @@ class PolarityFrame:
     duration: int
     pos: np.ndarray
     neg: np.ndarray
+    events: Optional[int] = None  # events in the window; None when unknown (read_pfr1)
 
     def __post_init__(self):
         for name, ch in (("pos", self.pos), ("neg", self.neg)):
@@ -75,20 +82,38 @@ class PolarityFrame:
         return int(self.t0 // self.duration)
 
 
-def _count_frame(s: EventStream, lo: int, hi: int, t0: int, duration: int) -> PolarityFrame:
-    w, h = s.width, s.height
-    cells = w * h
-    # count runs of a sorted polarity-extended flat index (np.unique), so the
-    # work follows the window's events; only the zeroed frame is sized by the sensor
+def _runs(s: EventStream, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted polarity-extended cells of events lo:hi and their counts, saturated."""
+    w = s.width
     flat = s.y[lo:hi].astype(np.uint32)
     flat *= np.uint32(w)
     flat += s.x[lo:hi]
-    flat += s.p[lo:hi].astype(np.uint32) * np.uint32(cells)
+    flat += s.p[lo:hi].astype(np.uint32) * np.uint32(w * s.height)
     cell, n = np.unique(flat, return_counts=True)
-    counts = np.zeros(2 * cells, dtype=np.uint8)
-    counts[cell] = np.minimum(n, SATURATION)
+    return cell, np.minimum(n, SATURATION)
+
+
+def _scatter(s: EventStream, runs, t0: int, duration: int, events: int) -> PolarityFrame:
+    """The full-resolution frame: the runs written into one zeroed 2*W*H array."""
+    w, h = s.width, s.height
+    cell, n = runs
+    counts = np.zeros(2 * w * h, dtype=np.uint8)
+    counts[cell] = n
     neg, pos = counts.reshape(2, h, w)
-    return PolarityFrame(w, h, t0, duration, pos, neg)
+    return PolarityFrame(w, h, t0, duration, pos, neg, events)
+
+
+def _shrink(
+    s: EventStream, runs, t0: int, duration: int, events: int, size: Tuple[int, int]
+) -> PolarityFrame:
+    """The frame downscaled to size, built from the runs with no full-resolution frame."""
+    w, h = s.width, s.height
+    cell, n = runs
+    # runs are sorted row-major over the (2H, W) stack of the neg then pos rows
+    indptr = np.searchsorted(cell, np.arange(2 * h + 1, dtype=np.uint64) * np.uint64(w))
+    grid = sparse.csr_matrix((n, cell % np.uint32(w), indptr), shape=(2 * h, w))
+    neg, pos = (_round_u8(*area_sum(grid[rows], *size)) for rows in (slice(0, h), slice(h, None)))
+    return PolarityFrame(size[0], size[1], t0, duration, pos, neg, events)
 
 
 def accumulate(s: EventStream, t0: int, duration: int) -> PolarityFrame:
@@ -99,20 +124,29 @@ def accumulate(s: EventStream, t0: int, duration: int) -> PolarityFrame:
     if not 0 < duration <= T_MAX:
         raise InvalidWindow(f"integration window must be in 1..2^64-1 us, got {duration}")
     window = slice_interval(s, t0, t0 + duration)
-    return _count_frame(window, 0, len(window), t0, duration)
+    return _scatter(window, _runs(window, 0, len(window)), t0, duration, len(window))
 
 
 def window_frames(
-    s: EventStream, duration: int, first: Optional[int] = None, last: Optional[int] = None
+    s: EventStream,
+    duration: int,
+    first: Optional[int] = None,
+    last: Optional[int] = None,
+    size: Optional[Tuple[int, int]] = None,
 ) -> Iterator[PolarityFrame]:
     """Frames over consecutive windows [k*T, (k+1)*T) for k = first..last.
 
     first and last default to the windows of the first and last event;
     with a default end an empty stream yields nothing. Windows without
     events yield all-zero frames; a negative first raises InvalidWindow.
+    size=(w, h) yields each frame as downscale(frame, w, h) would, built
+    from the window's runs; a size larger than the sensor, or a side
+    below 1, raises before any frame.
     """
     if not 0 < duration <= T_MAX:
         raise InvalidWindow(f"integration window must be in 1..2^64-1 us, got {duration}")
+    if size is not None:
+        _check_size(s.width, s.height, *size)
     if len(s) == 0 and (first is None or last is None):
         return
     k0 = int(s.t[0] // duration) if first is None else first
@@ -125,7 +159,12 @@ def window_frames(
     edges = np.arange(k0, k0 + fit, dtype=np.uint64) * np.uint64(duration)
     bounds[:fit] = np.searchsorted(s.t, edges, side="left")
     for i, k in enumerate(range(k0, k1 + 1)):
-        yield _count_frame(s, int(bounds[i]), int(bounds[i + 1]), k * duration, duration)
+        lo, hi = int(bounds[i]), int(bounds[i + 1])
+        runs = _runs(s, lo, hi)
+        if size is None:
+            yield _scatter(s, runs, k * duration, duration, hi - lo)
+        else:
+            yield _shrink(s, runs, k * duration, duration, hi - lo, size)
 
 
 def render_rgb(f: PolarityFrame) -> np.ndarray:
@@ -161,18 +200,28 @@ def area_sum(grid: np.ndarray, out_w: int, out_h: int) -> Tuple[np.ndarray, int]
     return _band_weights(h, out_h) @ grid @ _band_weights(w, out_w).T, h * w
 
 
-def downscale(f: PolarityFrame, out_w: int, out_h: int) -> PolarityFrame:
-    """Area-averaged resize of both channels, saturated at 255: area_sum's
-    exact average S / D rounded half up in integers as (2S + D) // (2D)."""
-    if out_w > f.width or out_h > f.height:
-        raise UpscaleUnsupported(f"requested {out_w}x{out_h} from {f.width}x{f.height}")
+def _check_size(width: int, height: int, out_w: int, out_h: int) -> None:
+    if out_w > width or out_h > height:
+        raise UpscaleUnsupported(f"requested {out_w}x{out_h} from {width}x{height}")
     if out_w <= 0 or out_h <= 0:
         raise ValueError("output dimensions must be positive")
-    chans = []
-    for ch in (f.pos, f.neg):
-        s, d = area_sum(ch, out_w, out_h)  # s is Fortran-ordered; frames are C-ordered
-        chans.append(np.minimum((2 * s + d) // (2 * d), SATURATION).astype(np.uint8, order="C"))
-    return PolarityFrame(out_w, out_h, f.t0, f.duration, chans[0], chans[1])
+
+
+def _round_u8(s, d: int) -> np.ndarray:
+    """area_sum's exact average S / D rounded half up in integers as
+    (2S + D) // (2D), saturated at 255, as a C-ordered uint8 grid."""
+    if sparse.issparse(s):  # a zero sum rounds to 0, so round only the stored sums
+        s = s.tocsr()
+        s.data = _round_u8(s.data, d)
+        return s.toarray()
+    return np.minimum((2 * s + d) // (2 * d), SATURATION).astype(np.uint8, order="C")
+
+
+def downscale(f: PolarityFrame, out_w: int, out_h: int) -> PolarityFrame:
+    """Area-averaged resize of both channels, saturated at 255 (see _round_u8)."""
+    _check_size(f.width, f.height, out_w, out_h)
+    pos, neg = (_round_u8(*area_sum(ch, out_w, out_h)) for ch in (f.pos, f.neg))
+    return PolarityFrame(out_w, out_h, f.t0, f.duration, pos, neg, f.events)
 
 
 def activity(f: PolarityFrame) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Accumulate -> detect pipeline with a bounded read-ahead.
 
 One producer turns the event stream into polarity frames window by
-window; one consumer gathers batches and runs the detector. By default
+window, with frames.window_frames; with downscale_to set, it yields the
+downscaled frames, built from each window's runs without a full-resolution
+frame. One consumer gathers batches and runs the detector. By default
 the producer runs on a one-thread ThreadPoolExecutor that computes up to
 queue_capacity frames ahead of the consumer, and the next frame only when
 the consumer takes one. The pipeline is therefore lossless: every window
@@ -33,7 +35,7 @@ from scipy import ndimage
 from .config import numbers
 from .errors import ConfigInvalid
 from .events import EventStream
-from .frames import PolarityFrame, downscale, window_frames
+from .frames import PolarityFrame, window_frames
 from .geometry import CameraPair, transfer_tracks
 from .labels import BBox, Detection, EvalReport, Track, densify_tracks, evaluate_detections, load_detections_csv
 
@@ -120,7 +122,7 @@ def stub_detector(
     event mass. Only the box of nonzero cells is labelled: with
     activity_thresh >= 1 no component reaches outside it, and the crop
     keeps raster order, so components and their order are the whole
-    frame's.
+    frame's. A frame of an empty window (events == 0) is not read.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -130,6 +132,8 @@ def stub_detector(
 
 
 def _detect_frame(f: PolarityFrame, min_area: int, activity_thresh: int) -> List[Detection]:
+    if f.events == 0:  # an empty window: its all-zero channels are not read
+        return []
     nonzero = f.pos | f.neg
     rows = np.flatnonzero(nonzero.any(axis=1))
     if not rows.size:
@@ -237,9 +241,7 @@ def run_pipeline(
 
     def produce() -> Iterator[PolarityFrame]:
         t0 = time.perf_counter()
-        for frame in window_frames(events, cfg.integration_window):
-            if cfg.downscale_to is not None:
-                frame = downscale(frame, *cfg.downscale_to)
+        for frame in window_frames(events, cfg.integration_window, size=cfg.downscale_to):
             acc_ms.append((time.perf_counter() - t0) * 1e3)
             yield frame
             t0 = time.perf_counter()

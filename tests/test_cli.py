@@ -7,6 +7,7 @@ import pytest
 
 from evflow.cli import main
 from evflow.events import SensorGeometry, decode_stream
+from evflow import frames as frames_mod
 from evflow.frames import downscale, read_pfr1, window_frames
 from evflow.labels import (
     BBox,
@@ -81,15 +82,20 @@ def test_accumulate_one_second_gives_30_frames(tmp_path, capsys):
     assert len(list(out_dir.glob("*.ppm"))) == 30
 
 
-def test_accumulate_downscale_writes_the_downscaled_frames(tmp_path, capsys):
+def test_accumulate_downscale_writes_the_downscaled_frames(tmp_path, capsys, monkeypatch):
     ev = synth_recording(tmp_path, capsys, 0.2)
+    with open(ev, "rb") as fh:
+        stream = decode_stream(fh.read())
+    want = [downscale(f, 320, 240) for f in window_frames(stream, 33_333)]
+
+    def no_full_frame(*args):
+        raise AssertionError("a full-resolution frame was built")
+
+    monkeypatch.setattr(frames_mod, "_scatter", no_full_frame)
     out_dir = tmp_path / "frames"
     code, _, _ = run_cli(capsys, "accumulate", "--events", ev,
                          "--out-dir", str(out_dir), "--downscale", "320,240")
     assert code == 0
-    with open(ev, "rb") as fh:
-        stream = decode_stream(fh.read())
-    want = [downscale(f, 320, 240) for f in window_frames(stream, 33_333)]
     got = [read_pfr1(p.read_bytes()) for p in sorted(out_dir.glob("*.pfr1"))]
     assert len(got) == len(want) == 7  # 0.2 s reaches into a seventh window
     for g, w in zip(got, want):

@@ -114,7 +114,8 @@ def test_frame_sequence_empty_stream():
 
 
 def assert_same_frame(a, b):
-    assert (a.t0, a.duration, a.width, a.height) == (b.t0, b.duration, b.width, b.height)
+    assert (a.t0, a.duration, a.width, a.height, a.events) == (
+        b.t0, b.duration, b.width, b.height, b.events)
     assert np.array_equal(a.pos, b.pos) and np.array_equal(a.neg, b.neg)
 
 
@@ -143,6 +144,7 @@ def test_window_frames_explicit_range_before_first_event():
     for f in frames:
         assert_same_frame(f, accumulate(s, f.t0, T))
     assert sum(int(f.pos.sum()) + int(f.neg.sum()) for f in frames) == len(s)
+    assert sum(f.events for f in frames) == len(s)
 
 
 def test_window_frames_explicit_range_on_empty_stream():
@@ -201,6 +203,39 @@ def test_window_frames_equal_brute_force(data):
     for f in frames:
         pos, neg = brute_force_counts(s, f.t0, f.t0 + T, geom)
         assert np.array_equal(f.pos, pos) and np.array_equal(f.neg, neg)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_window_frames_size_equals_downscale_of_each_frame(data):
+    # integer and non-integer ratios; bursts past 255 on one cell; empty and gap
+    # windows; default or explicit first and last, also past the events or on no events
+    geom = SensorGeometry(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 7)))
+    size = (data.draw(st.integers(1, geom.width)), data.draw(st.integers(1, geom.height)))
+    burst = st.tuples(st.integers(0, 40_000), st.integers(0, geom.width - 1),
+                      st.integers(0, geom.height - 1), st.integers(0, 1), st.integers(1, 600))
+    bursts = data.draw(st.lists(burst, max_size=8))
+    events = sorted((t + i, x, y, p) for t, x, y, p, n in bursts for i in range(n))
+    s = EventStream(geom, *zip(*events)) if events else EventStream.empty(geom)
+    T = data.draw(st.integers(500, 8_000))
+    first, last = (data.draw(st.none() | st.integers(0, 41_000 // T)) for _ in range(2))
+    want = [downscale(f, *size) for f in window_frames(s, T, first, last)]
+    got = list(window_frames(s, T, first, last, size=size))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_frame(g, w)
+        assert g.pos.flags.c_contiguous and g.neg.flags.c_contiguous
+
+
+@pytest.mark.parametrize("size,error", [
+    ((65, 48), UpscaleUnsupported), ((64, 49), UpscaleUnsupported),
+    ((0, 48), ValueError), ((64, -1), ValueError),
+])
+@pytest.mark.parametrize("n", [0, 100])
+def test_window_frames_size_is_checked_before_any_frame(size, error, n):
+    frames = window_frames(random_stream(SMALL, n, seed=3), 33_333, 0, 2, size=size)
+    with pytest.raises(error):
+        next(frames)
 
 
 def loop_overlap_weights(n_in, n_out):
@@ -375,3 +410,4 @@ def test_pfr1_round_trip():
     g = read_pfr1(write_pfr1(f))
     assert (g.width, g.height, g.t0, g.duration) == (f.width, f.height, f.t0, f.duration)
     assert np.array_equal(g.pos, f.pos) and np.array_equal(g.neg, f.neg)
+    assert f.events == 2_000 and g.events is None  # PFR1 does not store the count

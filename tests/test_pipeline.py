@@ -1,5 +1,6 @@
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from scipy import ndimage
 
 from evflow.errors import ConfigInvalid, MissingField, UpscaleUnsupported
 from evflow.events import EventStream, SensorGeometry
-from evflow.frames import PolarityFrame, activity, window_frames
+from evflow import frames as frames_mod
+from evflow.frames import PolarityFrame, activity, downscale, window_frames
 from evflow.labels import (
     BBox,
     Detection,
@@ -51,10 +53,18 @@ def detection_keys(dets):
     return [(d.frame_idx, d.box.x, d.box.y, d.box.w, d.box.h, d.confidence) for d in dets]
 
 
+def offline_frames(events, cfg):
+    """Reference frames: every window's full-resolution frame, downscaled after."""
+    frames = list(window_frames(events, cfg.integration_window))
+    if cfg.downscale_to is not None:
+        frames = [downscale(f, *cfg.downscale_to) for f in frames]
+    return frames
+
+
 def offline_detections(events, cfg):
     """Reference path: every window's frame in a list, then the stub detector
     batch by batch, with no read-ahead."""
-    frames = list(window_frames(events, cfg.integration_window))
+    frames = offline_frames(events, cfg)
     detections = []
     for i in range(0, len(frames), cfg.batch_size):
         for dets in stub_detector(frames[i : i + cfg.batch_size], cfg.stub_min_area,
@@ -91,6 +101,31 @@ def test_stub_empty_frame_no_detections():
     assert stub_detector([f]) == [[]]
 
 
+class ReadSpy(np.ndarray):
+    """A channel that records each ufunc applied to it and each index into it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.reads.append(f"{ufunc.__name__}.{method}")
+        inputs = [i.view(np.ndarray) if isinstance(i, ReadSpy) else i for i in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __getitem__(self, key):
+        self.reads.append("index")
+        return self.view(np.ndarray)[key]
+
+
+def test_stub_does_not_read_an_empty_window():
+    reads = []
+    pos, neg = (np.zeros((48, 64), dtype=np.uint8).view(ReadSpy) for _ in range(2))
+    pos.reads = neg.reads = reads
+    empty = PolarityFrame(64, 48, 0, WINDOW, pos, neg, events=0)
+    assert stub_detector([empty]) == [[]]
+    assert reads == []
+    # the same channels with an unknown count (a frame read back from PFR1) are read
+    assert stub_detector([replace(empty, events=None)]) == [[]]
+    assert reads
+
+
 def test_stub_rejects_activity_threshold_below_one():
     # at 0 the empty background would be a blob, and it lies outside the active box
     with pytest.raises(ValueError):
@@ -112,7 +147,9 @@ def test_stub_detector_equals_full_frame_oracle(data):
             y1 = data.draw(st.one_of(st.just(h), st.integers(y0 + 1, min(h, y0 + 4))))
             value = data.draw(st.one_of(st.integers(1, 4), st.just(255)))
             chans[data.draw(st.integers(0, 1)), y0:y1, x0:x1] = value
-        frames.append(PolarityFrame(w, h, k * WINDOW, WINDOW, chans[0], chans[1]))
+        # a frame with no blob may come from an empty window (events == 0)
+        events = None if chans.any() else data.draw(st.sampled_from([None, 0]))
+        frames.append(PolarityFrame(w, h, k * WINDOW, WINDOW, chans[0], chans[1], events))
     min_area = data.draw(st.integers(1, 10))
     thresh = data.draw(st.integers(1, 3))
     want = full_frame_stub_detector(frames, min_area, thresh)
@@ -331,6 +368,30 @@ def test_pipeline_downscale_halves_frame():
     res = run_pipeline(stream, cfg, threads=1)
     assert all(d.box.x < 320 and d.box.y < 240 for d in res.detections)
     assert res.detections  # the disc still shows up at quarter resolution
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pipeline_downscale_never_builds_a_full_frame(monkeypatch, threads):
+    stream, _, _ = disc_recording(seconds=1.0)
+    cfg = PipelineConfig(batch_size=2, downscale_to=(213, 160), stub_min_area=4)
+    want_frames, want = offline_frames(stream, cfg), offline_detections(stream, cfg)
+
+    def no_full_frame(*args):
+        raise AssertionError("a full-resolution frame was built")
+
+    monkeypatch.setattr(frames_mod, "_scatter", no_full_frame)
+    seen = []
+
+    def detect(batch):
+        seen.extend(batch)
+        return stub_detector(batch, cfg.stub_min_area, cfg.stub_activity_thresh)
+
+    res = run_pipeline(stream, cfg, detector_fn=detect, threads=threads)
+    assert detection_keys(res.detections) == detection_keys(want) != []
+    assert len(seen) == len(want_frames) == 30
+    for g, w in zip(seen, want_frames):
+        assert (g.width, g.height, g.t0, g.events) == (w.width, w.height, w.t0, w.events)
+        assert np.array_equal(g.pos, w.pos) and np.array_equal(g.neg, w.neg)
 
 
 def test_pipeline_downscale_scores_in_detector_frame():
