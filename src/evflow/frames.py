@@ -5,20 +5,25 @@ uint8 channels (positive, negative), saturating at 255. A 1280x720 frame
 therefore occupies exactly 1280*720*2 bytes. Rendering paints positive
 activity white and negative activity blue on black.
 
-window_frames is the one cutter of the window grid [k*T, (k+1)*T): one
-search finds every edge, then frames are made lazily. The pipeline, sync
-and the CLI all read their frames from it. Each frame records its window's
-event count in `events`; a frame read back from PFR1 has None there, since
-the dump does not store it.
+One cutter covers the window grid [k*T, (k+1)*T): it checks the grid, finds
+every edge with one search, then yields each window's event runs lazily to
+three consumers. window_frames turns them into full-resolution frames
+(_scatter) or downscaled ones (_shrink); the pipeline and the CLI read
+those. window_activity turns them into uint16 pos + neg grids, which sync
+reads; it builds no frame. Each frame records its window's event count in
+`events`; a frame read back from PFR1 has None there, since the dump does
+not store it.
 
-A frame's cost follows the events in its window: np.unique sorts their
-polarity-extended cell indices (y*W + x, plus W*H for positive events) into
-runs of (cell, count saturated at 255). At full resolution the runs are
-written into one zeroed 2*W*H array, so an empty window costs one calloc that
-nothing reads (the detector skips a frame whose `events` is 0). With a size,
-window_frames never builds that array: the runs, already row-major sorted,
-are one CSR matrix of shape (2H, W), its row pointers a search of the row
-starts, and each channel is a row slice of it resampled by area_sum.
+A window's cost follows its events: np.unique sorts their polarity-extended
+cell indices (y*W + x, plus W*H for positive events; uint32, or uint64 when
+2*W*H > 2^32) into runs of (cell, count saturated at 255). _scatter writes
+the runs into one zeroed 2*W*H array, so an empty window costs one calloc
+that nothing reads (the detector skips a frame whose `events` is 0).
+_shrink never builds that array: the runs, already row-major sorted, are
+one CSR matrix of shape (2H, W), its row pointers a search of the row
+starts, and each channel is a row slice of it resampled by area_sum. The
+activity consumer splits the runs at W*H with one search and writes both
+halves into one zeroed H*W uint16 grid.
 
 area_sum is the one resampler, for downscale, the runs path and sync. Output
 cell j of n_out overlaps input cell i of n_in by an integer count of 1/n_out
@@ -83,12 +88,14 @@ class PolarityFrame:
 
 
 def _runs(s: EventStream, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted polarity-extended cells of events lo:hi and their counts, saturated."""
-    w = s.width
-    flat = s.y[lo:hi].astype(np.uint32)
-    flat *= np.uint32(w)
+    """Sorted polarity-extended cells of events lo:hi and their counts, saturated.
+    The cells are uint32 unless 2*W*H > 2^32, where they are uint64."""
+    w, h = s.width, s.height
+    cell_t = np.uint32 if 2 * w * h <= 2**32 else np.uint64
+    flat = s.y[lo:hi].astype(cell_t)
+    flat *= cell_t(w)
     flat += s.x[lo:hi]
-    flat += s.p[lo:hi].astype(np.uint32) * np.uint32(w * s.height)
+    flat += s.p[lo:hi].astype(cell_t) * cell_t(w * h)
     cell, n = np.unique(flat, return_counts=True)
     return cell, np.minimum(n, SATURATION)
 
@@ -111,9 +118,21 @@ def _shrink(
     cell, n = runs
     # runs are sorted row-major over the (2H, W) stack of the neg then pos rows
     indptr = np.searchsorted(cell, np.arange(2 * h + 1, dtype=np.uint64) * np.uint64(w))
-    grid = sparse.csr_matrix((n, cell % np.uint32(w), indptr), shape=(2 * h, w))
+    grid = sparse.csr_matrix((n, cell % cell.dtype.type(w), indptr), shape=(2 * h, w))
     neg, pos = (_round_u8(*area_sum(grid[rows], *size)) for rows in (slice(0, h), slice(h, None)))
     return PolarityFrame(size[0], size[1], t0, duration, pos, neg, events)
+
+
+def _activity(s: EventStream, runs) -> np.ndarray:
+    """The window's (H, W) uint16 pos + neg grid, written from the runs with no frame."""
+    w, h = s.width, s.height
+    cell, n = runs[0], runs[1].astype(np.uint16)
+    wh = cell.dtype.type(w * h)
+    split = np.searchsorted(cell, wh)  # negative runs, then positive ones
+    grid = np.zeros(h * w, dtype=np.uint16)
+    grid[cell[:split]] = n[:split]
+    grid[cell[split:] - wh] += n[split:]  # exact: cells are unique within a polarity
+    return grid.reshape(h, w)
 
 
 def accumulate(s: EventStream, t0: int, duration: int) -> PolarityFrame:
@@ -125,6 +144,30 @@ def accumulate(s: EventStream, t0: int, duration: int) -> PolarityFrame:
         raise InvalidWindow(f"integration window must be in 1..2^64-1 us, got {duration}")
     window = slice_interval(s, t0, t0 + duration)
     return _scatter(window, _runs(window, 0, len(window)), t0, duration, len(window))
+
+
+def _windows(
+    s: EventStream, duration: int, first: Optional[int], last: Optional[int]
+) -> Iterator[Tuple[int, int, Tuple[np.ndarray, np.ndarray]]]:
+    """The checked window grid, cut lazily: (k, event count, runs) for each
+    window [k*T, (k+1)*T), k = first..last (defaults as in window_frames)."""
+    if not 0 < duration <= T_MAX:
+        raise InvalidWindow(f"integration window must be in 1..2^64-1 us, got {duration}")
+    if len(s) == 0 and (first is None or last is None):
+        return iter(())
+    k0 = int(s.t[0] // duration) if first is None else first
+    k1 = int(s.t[-1] // duration) if last is None else last
+    if k0 < 0:
+        raise InvalidWindow(f"window indices must be non-negative, got first={k0}")
+    # edges past T_MAX bound at len(s); one search finds all the others
+    fit = max(min(k1 + 1, T_MAX // duration) - k0 + 1, 0)
+    bounds = np.full(max(k1 - k0 + 2, 0), len(s))
+    edges = np.arange(k0, k0 + fit, dtype=np.uint64) * np.uint64(duration)
+    bounds[:fit] = np.searchsorted(s.t, edges, side="left")
+    return (
+        (k, int(hi - lo), _runs(s, int(lo), int(hi)))
+        for k, lo, hi in zip(range(k0, k1 + 1), bounds[:-1], bounds[1:])
+    )
 
 
 def window_frames(
@@ -143,28 +186,25 @@ def window_frames(
     from the window's runs; a size larger than the sensor, or a side
     below 1, raises before any frame.
     """
-    if not 0 < duration <= T_MAX:
-        raise InvalidWindow(f"integration window must be in 1..2^64-1 us, got {duration}")
+    windows = _windows(s, duration, first, last)
     if size is not None:
         _check_size(s.width, s.height, *size)
-    if len(s) == 0 and (first is None or last is None):
-        return
-    k0 = int(s.t[0] // duration) if first is None else first
-    k1 = int(s.t[-1] // duration) if last is None else last
-    if k0 < 0:
-        raise InvalidWindow(f"window indices must be non-negative, got first={k0}")
-    # edges past T_MAX bound at len(s); one search finds all the others
-    fit = max(min(k1 + 1, T_MAX // duration) - k0 + 1, 0)
-    bounds = np.full(max(k1 - k0 + 2, 0), len(s))
-    edges = np.arange(k0, k0 + fit, dtype=np.uint64) * np.uint64(duration)
-    bounds[:fit] = np.searchsorted(s.t, edges, side="left")
-    for i, k in enumerate(range(k0, k1 + 1)):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        runs = _runs(s, lo, hi)
+    for k, events, runs in windows:
         if size is None:
-            yield _scatter(s, runs, k * duration, duration, hi - lo)
+            yield _scatter(s, runs, k * duration, duration, events)
         else:
-            yield _shrink(s, runs, k * duration, duration, hi - lo, size)
+            yield _shrink(s, runs, k * duration, duration, events, size)
+
+
+def window_activity(
+    s: EventStream, duration: int, first: Optional[int] = None, last: Optional[int] = None
+) -> Iterator[np.ndarray]:
+    """(H, W) uint16 per-pixel pos + neg counts of the windows window_frames
+    would yield, each equal to np.add(f.pos, f.neg, dtype=np.uint16) of its
+    frame f (so each polarity saturates at 255 and a pixel at 510), but
+    built from the window's runs with no frame."""
+    for _, _, runs in _windows(s, duration, first, last):
+        yield _activity(s, runs)
 
 
 def render_rgb(f: PolarityFrame) -> np.ndarray:
@@ -222,11 +262,6 @@ def downscale(f: PolarityFrame, out_w: int, out_h: int) -> PolarityFrame:
     _check_size(f.width, f.height, out_w, out_h)
     pos, neg = (_round_u8(*area_sum(ch, out_w, out_h)) for ch in (f.pos, f.neg))
     return PolarityFrame(out_w, out_h, f.t0, f.duration, pos, neg, f.events)
-
-
-def activity(f: PolarityFrame) -> np.ndarray:
-    """Per-pixel pos + neg as uint16 (no saturation loss at 8 bits)."""
-    return np.add(f.pos, f.neg, dtype=np.uint16)
 
 
 def write_pfr1(f: PolarityFrame) -> bytes:

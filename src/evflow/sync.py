@@ -1,11 +1,12 @@
 """Temporal alignment of event and frame streams via ZNCC.
 
 The two modalities are first reduced to comparable "activity" signals:
-per-window pos+neg event counts on one side, absolute consecutive-frame
-differences on the other. Both are then resampled onto a small common
-raster and the integer frame offset maximizing the mean zero-mean
-normalized cross-correlation is reported, together with the whole score
-curve. Each raster is standardised once, so one matrix product scores every
+per-window pos+neg event counts on one side, which frames.window_activity
+builds straight from each window's event runs with no polarity frame, and
+absolute consecutive-frame differences on the other. Both are then
+resampled onto a small common raster and the integer frame offset
+maximizing the mean zero-mean normalized cross-correlation is reported,
+together with the whole score curve. Each raster is standardised once, so one matrix product scores every
 event/frame pair and offset d is the mean of that matrix's d-th diagonal.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import InsufficientOverlap, ShapeMismatch, ZeroVariance
 from .events import EventStream
-from .frames import activity, area_sum, window_frames
+from .frames import area_sum, window_activity
 
 log = logging.getLogger(__name__)
 
@@ -130,10 +131,11 @@ def find_offset(
 def event_activity_sequence(
     s: EventStream, frame_period: int, n_frames: int | None = None
 ) -> List[np.ndarray]:
-    """Per-window uint16 activity grids of windows 0..n_frames-1 (default:
-    through the last event's window)."""
+    """Per-window (H, W) uint16 pos + neg count grids of windows
+    0..n_frames-1 (default: through the last event's window), built from
+    each window's event runs by frames.window_activity."""
     last = None if n_frames is None else n_frames - 1
-    return [activity(f) for f in window_frames(s, frame_period, 0, last)]
+    return list(window_activity(s, frame_period, 0, last))
 
 
 def gray_activity_sequence(seq: GrayFrameSequence) -> List[np.ndarray]:

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import struct
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from evflow.cli import main
 from evflow.events import SensorGeometry, decode_stream
 from evflow import frames as frames_mod
+from evflow import netpbm
+from evflow import sync as sync_mod
 from evflow.frames import downscale, read_pfr1, window_frames
 from evflow.labels import (
     BBox,
@@ -225,6 +228,34 @@ def test_sync_reads_commented_colour_frames(tmp_path, capsys):
     code, out, _ = run_sync(capsys, ev, write_delayed_frames(tmp_path / "rgb", commented_ppm))
     assert code == 0
     assert json.loads(out) == json.loads(gray_out)  # BT.601 of equal channels is the gray
+
+
+def test_sync_builds_no_polarity_frame(tmp_path, capsys, monkeypatch):
+    # with frame building disabled, the activity grids and the offset must
+    # still equal those computed from the windows' frames
+    ev = synth_recording(tmp_path, capsys, 2.0)
+    frames_dir = write_delayed_frames(tmp_path / "rgb")
+    stream = decode_stream(pathlib.Path(ev).read_bytes())
+    want_ev = [np.add(f.pos, f.neg, dtype=np.uint16) for f in window_frames(stream, 33_333, 0, 58)]
+    gray = [netpbm.luminance(netpbm.read_netpbm(p.read_bytes()))
+            for p in sorted(pathlib.Path(frames_dir).glob("*.pgm"))]
+    rgb_act = sync_mod.gray_activity_sequence(sync_mod.GrayFrameSequence(640, 480, 33_333, gray))
+    want = sync_mod.find_offset(sync_mod.to_common_raster(want_ev),
+                                sync_mod.to_common_raster(rgb_act), 6)
+
+    def no_frame(*args, **kwargs):
+        raise AssertionError("sync built a polarity frame")
+
+    monkeypatch.setattr(frames_mod, "_scatter", no_frame)
+    monkeypatch.setattr(frames_mod.PolarityFrame, "__init__", no_frame)
+    got_ev = sync_mod.event_activity_sequence(stream, 33_333, len(rgb_act))
+    assert len(got_ev) == len(want_ev) == 59
+    assert all(np.array_equal(g, w) for g, w in zip(got_ev, want_ev))
+    code, out, _ = run_sync(capsys, ev, frames_dir)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["best_offset"] == want.best_offset
+    assert doc["curve"] == [[d, s] for d, s in want.score_curve]
 
 
 def test_sync_needs_two_frames(tmp_path, capsys):

@@ -11,15 +11,15 @@ from evflow.events import EventStream, SensorGeometry
 from evflow.frames import (
     PolarityFrame,
     accumulate,
-    activity,
     area_sum,
     downscale,
     read_pfr1,
     render_rgb,
+    window_activity,
     window_frames,
     write_pfr1,
 )
-from evflow.frames import _band_weights
+from evflow.frames import _band_weights, _runs
 from evflow.sync import to_common_raster
 
 HD = SensorGeometry(1280, 720)
@@ -381,27 +381,94 @@ def test_area_average_against_manual_windows():
     assert np.allclose(area_average(g, 4, 4), manual, atol=1e-12)
 
 
-def test_activity_zero_frame():
-    f = accumulate(EventStream.empty(SMALL), 0, 1000)
-    assert not activity(f).any()
+def frame_activity(f):
+    """Reference activity of a frame: pos + neg without 8-bit overflow."""
+    return np.add(f.pos, f.neg, dtype=np.uint16)
 
 
-def test_activity_no_uint8_overflow():
-    pos = np.zeros((48, 64), dtype=np.uint8)
-    neg = np.zeros((48, 64), dtype=np.uint8)
-    pos[3, 3] = 255
-    neg[3, 3] = 255
-    f = PolarityFrame(64, 48, 0, 1000, pos, neg)
-    act = activity(f)
-    assert act.dtype == np.uint16
-    assert act[3, 3] == 510
+def assert_activity_of_frames(s, T, first=None, last=None):
+    got = list(window_activity(s, T, first, last))
+    want = [frame_activity(f) for f in window_frames(s, T, first, last)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.uint16 and g.shape == (s.height, s.width) and g.flags.c_contiguous
+        assert np.array_equal(g, w)
+    return got
 
 
-def test_activity_matches_elementwise_sum():
+def test_window_activity_zero_window():
+    (act,) = window_activity(EventStream.empty(SMALL), 1000, 0, 0)
+    assert act.dtype == np.uint16 and act.shape == (48, 64) and not act.any()
+
+
+def test_window_activity_no_uint8_overflow():
+    # 300 events of each polarity on one pixel: each saturates at 255, the sum is 510
+    n = 300
+    s = EventStream(SMALL, np.arange(2 * n, dtype=np.uint64), [3] * 2 * n, [4] * 2 * n,
+                    [1, 0] * n)
+    (act,) = assert_activity_of_frames(s, 1000)
+    assert act[4, 3] == 510 and act.sum() == 510
+
+
+def test_window_activity_matches_elementwise_sum():
     s = random_stream(SMALL, 3_000, seed=8, t_max=10_000)
+    (act,) = window_activity(s, 10_000)
     f = accumulate(s, 0, 10_000)
-    expected = f.pos.astype(int) + f.neg.astype(int)
-    assert np.array_equal(activity(f), expected)
+    assert np.array_equal(act, f.pos.astype(int) + f.neg.astype(int))
+
+
+def test_window_activity_across_gap_and_before_first_event():
+    s, T = gap_stream(), 33_333
+    assert len(assert_activity_of_frames(s, T)) == 7
+    grids = assert_activity_of_frames(s, T, 0, 11)
+    assert len(grids) == 12 and sum(int(g.sum()) for g in grids) == len(s)
+    assert not any(g.any() for g in grids[:3] + grids[5:9] + grids[10:])
+
+
+def test_window_activity_empty_stream():
+    assert list(window_activity(EventStream.empty(SMALL), 33_333)) == []
+    assert len(assert_activity_of_frames(EventStream.empty(SMALL), 1000, 0, 2)) == 3
+
+
+def test_window_activity_rejects_bad_windows():
+    s = random_stream(SMALL, 100, seed=3, t_max=20)
+    with pytest.raises(InvalidWindow):
+        list(window_activity(s, 0))
+    with pytest.raises(InvalidWindow, match="non-negative"):
+        list(window_activity(s, 10, -1, 2))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_window_activity_equals_pos_plus_neg_of_each_frame(data):
+    # bursts past 255 of either polarity on a few cells, so both polarities
+    # share pixels; empty and gap windows; default or explicit first and last,
+    # also before the first event, past the events or on no events
+    geom = SensorGeometry(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)))
+    burst = st.tuples(st.integers(0, 40_000), st.integers(0, geom.width - 1),
+                      st.integers(0, geom.height - 1), st.integers(0, 1), st.integers(1, 600))
+    bursts = data.draw(st.lists(burst, max_size=8))
+    events = sorted((t + i, x, y, p) for t, x, y, p, n in bursts for i in range(n))
+    s = EventStream(geom, *zip(*events)) if events else EventStream.empty(geom)
+    T = data.draw(st.integers(500, 8_000))
+    first, last = (data.draw(st.none() | st.integers(0, 41_000 // T)) for _ in range(2))
+    assert_activity_of_frames(s, T, first, last)
+
+
+def test_runs_cell_index_does_not_wrap_on_huge_sensors():
+    # 2*W*H > 2^32: the positive event at (0, 59999) must not wrap into the negative cells
+    s = EventStream(SensorGeometry(60000, 60000), [5, 6], [0, 3], [59999, 2], [1, 0])
+    cell, n = _runs(s, 0, 2)
+    assert cell.tolist() == [2 * 60000 + 3, 7_199_940_000] and n.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("height,dtype", [(32768, np.uint32), (32769, np.uint64)])
+def test_runs_cell_index_widens_only_past_2_to_the_32(height, dtype):
+    # 2*W*H is 2^32 - 2^16 at height 32768 and 2^32 + 2^17 - 2 at 32769
+    w = 65535
+    s = EventStream(SensorGeometry(w, height), [5], [w - 1], [height - 1], [1])
+    cell, _ = _runs(s, 0, 1)
+    assert cell.dtype == dtype and cell.tolist() == [2 * w * height - 1]
 
 
 def test_pfr1_round_trip():

@@ -8,6 +8,11 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
+from evflow.events import EventStream, SensorGeometry
+from evflow.sync import event_activity_sequence, to_common_raster
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PERFBENCH.glob("*.py"))}
 
@@ -52,3 +57,19 @@ def test_perfbench_calls_bind_to_signatures():
         except TypeError as exc:
             unbound.append(f"{f}:{line} {name}: {exc}")
     assert unbound == []
+
+
+def test_sync_job_gets_uint16_grids_it_can_slice_and_raster():
+    # harness.sync_job slices event_activity_sequence's result to the RGB
+    # grids' count and passes the slice to to_common_raster
+    calls = {name for _, _, name, _, _, _ in evflow_calls(TREES["harness.py"])}
+    assert {"event_activity_sequence", "to_common_raster"} <= calls
+    s = EventStream(SensorGeometry(64, 48), [5, 40_000, 40_001], [1, 2, 2], [3, 4, 4], [1, 0, 1])
+    ev = event_activity_sequence(s, 33_333, 3)
+    assert type(ev) is list and len(ev) == 3
+    for grid in ev:
+        assert type(grid) is np.ndarray and grid.dtype == np.uint16 and grid.shape == (48, 64)
+    assert ev[1][4, 2] == 2 and ev[1].sum() == 2 and ev[0].sum() == 1 and not ev[2].any()
+    rasters = to_common_raster(ev[:2], (16, 12))
+    assert len(rasters) == 2 and rasters[1].shape == (12, 16)
+    assert rasters[1].sum() * 16 == 2  # 4x4 blocks: area averages keep sum / 16

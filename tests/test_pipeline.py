@@ -11,7 +11,7 @@ from scipy import ndimage
 from evflow.errors import ConfigInvalid, MissingField, UpscaleUnsupported
 from evflow.events import EventStream, SensorGeometry
 from evflow import frames as frames_mod
-from evflow.frames import PolarityFrame, activity, downscale, window_frames
+from evflow.frames import PolarityFrame, downscale, window_frames
 from evflow.labels import (
     BBox,
     Detection,
@@ -77,7 +77,7 @@ def full_frame_stub_detector(batch, min_area, activity_thresh):
     """Reference for stub_detector: labels the whole frame's thresholded activity."""
     out = []
     for f in batch:
-        act = activity(f)
+        act = np.add(f.pos, f.neg, dtype=np.uint16)
         labels, _ = ndimage.label(act >= activity_thresh)  # default structure: 4-connected
         dets = []
         for comp, sl in enumerate(ndimage.find_objects(labels), start=1):
