@@ -118,7 +118,7 @@ def _shrink(
     cell, n = runs
     # runs are sorted row-major over the (2H, W) stack of the neg then pos rows
     indptr = np.searchsorted(cell, np.arange(2 * h + 1, dtype=np.uint64) * np.uint64(w))
-    grid = sparse.csr_matrix((n, cell % cell.dtype.type(w), indptr), shape=(2 * h, w))
+    grid = sparse.csr_matrix((n, cell % np.uint32(w), indptr), shape=(2 * h, w))
     neg, pos = (_round_u8(*area_sum(grid[rows], *size)) for rows in (slice(0, h), slice(h, None)))
     return PolarityFrame(size[0], size[1], t0, duration, pos, neg, events)
 
@@ -186,7 +186,7 @@ def window_frames(
     from the window's runs; a size larger than the sensor, or a side
     below 1, raises before any frame.
     """
-    windows = _windows(s, duration, first, last)
+    windows = _windows(s, duration, first, last)  # checks the grid before the size
     if size is not None:
         _check_size(s.width, s.height, *size)
     for k, events, runs in windows:
