@@ -392,7 +392,12 @@ def assert_activity_of_frames(s, T, first=None, last=None):
     return got
 
 
-def test_window_activity_no_uint8_overflow():
+def test_activity_zero_frame():
+    (act,) = assert_activity_of_frames(EventStream.empty(SMALL), 1000, 0, 0)
+    assert act.shape == (48, 64) and not act.any()
+
+
+def test_activity_no_uint8_overflow():
     # 300 events of each polarity on one pixel: each saturates at 255, the sum is 510
     n = 300
     s = EventStream(SMALL, np.arange(2 * n, dtype=np.uint64), [3] * 2 * n, [4] * 2 * n,
@@ -401,7 +406,7 @@ def test_window_activity_no_uint8_overflow():
     assert act[4, 3] == 510 and act.sum() == 510
 
 
-def test_window_activity_matches_elementwise_sum():
+def test_activity_matches_elementwise_sum():
     s = random_stream(SMALL, 3_000, seed=8, t_max=10_000)
     (act,) = window_activity(s, 10_000)
     f = accumulate(s, 0, 10_000)
