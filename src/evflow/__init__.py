@@ -7,7 +7,7 @@ average-precision scoring (labels), power/batching analysis (bench), and
 the concurrent accumulate->detect pipeline (pipeline).
 """
 
-from .events import EventStream, Polarity, SensorGeometry
+from .events import EventStream, SensorGeometry
 from .frames import PolarityFrame, accumulate
 from .labels import BBox, Detection, Keyframe, Track
 
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EventStream",
-    "Polarity",
     "SensorGeometry",
     "PolarityFrame",
     "accumulate",

@@ -6,7 +6,8 @@ window with the trapezoid rule and divides by the frames processed in it.
 The latency model captures the real-time batching trade-off: a batch of B
 frames takes B * frame_period to fill, then one inference pass; the batch
 is serviceable in real time iff inference finishes before the next batch
-is full.
+is full. The model's result is one BenchRow per batch size: batching_latency
+fills its latency fields, sweep_batches adds the energy ones.
 
 Power CSV: header ``t_s,voltage_v,current_a``, one sample per row.
 Latency table CSV: header ``batch_size,latency_ms``.
@@ -15,14 +16,14 @@ Latency table CSV: header ``batch_size,latency_ms``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, replace
 from typing import IO, Dict, List, Mapping, Sequence, Union
 
 import numpy as np
 
 from .config import read_table
 from .errors import (
-    BadRow,
     EmptyTrace,
     MissingInput,
     NegativeVoltage,
@@ -31,8 +32,8 @@ from .errors import (
     WindowOutOfRange,
     ZeroFrames,
 )
+from .frames import DEFAULT_WINDOW_US
 
-DEFAULT_FRAME_PERIOD_US = 33_333
 DEFAULT_SMOOTH_WINDOW = 10
 
 
@@ -73,13 +74,20 @@ class PowerTrace:
         return (len(self) - 1) * self.sample_period
 
 
+def _finite_floats(*fields: str) -> tuple:
+    values = tuple(map(float, fields))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"fields must be finite, got {', '.join(fields)}")
+    return values
+
+
 def load_power_trace(f: Union[str, IO[str]]) -> PowerTrace:
     """Read a power CSV and infer the sample period.
 
     The grid must be uniform: every timestamp within 1% of the inferred
     period from its nominal position.
     """
-    rows = read_table(f, ("t_s", "voltage_v", "current_a"), lambda *tvc: tuple(map(float, tvc)))
+    rows = read_table(f, ("t_s", "voltage_v", "current_a"), _finite_floats)
     if not rows:
         raise EmptyTrace("no samples")
     t, v, c = np.array(rows).T
@@ -121,14 +129,7 @@ def energy_per_frame(
     power = tr.power
     inside = (times > t_start) & (times < t_end)
     ts = np.concatenate([[t_start], times[inside], [t_end]])
-    ps = np.concatenate(
-        [
-            [np.interp(t_start, times, power)],
-            power[inside],
-            [np.interp(t_end, times, power)],
-        ]
-    )
-    joules = float(np.trapezoid(ps, ts))
+    joules = float(np.trapezoid(np.interp(ts, times, power), ts))
     return joules * 1e3 / frames_processed
 
 
@@ -136,7 +137,7 @@ def energy_per_frame(
 class BatchConfig:
     batch_size: int
     inference_latency: Mapping[int, float]  # batch size -> seconds
-    frame_period: int = DEFAULT_FRAME_PERIOD_US  # microseconds
+    frame_period: int = DEFAULT_WINDOW_US  # microseconds
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -144,35 +145,35 @@ class BatchConfig:
         if self.frame_period <= 0:
             raise ValueError(f"frame_period must be positive, got {self.frame_period}")
 
-    def latency_for(self, b: int) -> float:
-        if b not in self.inference_latency:
-            raise MissingInput(f"no inference latency for batch size {b}")
-        lat = float(self.inference_latency[b])
-        if lat <= 0:
-            raise ValueError(f"inference latency must be positive, got {lat}")
-        return lat
-
 
 @dataclass(frozen=True)
-class LatencyResult:
+class BenchRow:
+    batch_size: int
     worst_case_ms: float
     throughput_fps: float
     realtime_feasible: bool
+    energy_mj_per_frame: float | None = None
+    mean_power_w: float | None = None
 
 
-def batching_latency(cfg: BatchConfig) -> LatencyResult:
-    """Worst-case detection latency and feasibility for one batch size.
+def batching_latency(cfg: BatchConfig) -> BenchRow:
+    """Worst-case detection latency and feasibility for one batch size, as a
+    row without energy.
 
     A frame may wait for the whole batch to fill (B * frame_period) and
     then for one inference pass. Real-time feasible iff the pass finishes
     before the next batch is full.
     """
     b = cfg.batch_size
+    if b not in cfg.inference_latency:
+        raise MissingInput(f"no inference latency for batch size {b}")
+    lat_s = float(cfg.inference_latency[b])
+    if lat_s <= 0:
+        raise ValueError(f"inference latency must be positive, got {lat_s}")
     fill_s = b * cfg.frame_period * 1e-6
-    lat_s = cfg.latency_for(b)
     worst_ms = (fill_s + lat_s) * 1e3
     throughput = b / max(fill_s, lat_s)
-    return LatencyResult(worst_ms, throughput, lat_s <= fill_s)
+    return BenchRow(b, worst_ms, throughput, lat_s <= fill_s)
 
 
 @dataclass(frozen=True)
@@ -186,24 +187,11 @@ class EnergyInput:
 
 
 @dataclass(frozen=True)
-class BenchRow:
-    batch_size: int
-    worst_case_ms: float
-    throughput_fps: float
-    realtime_feasible: bool
-    energy_mj_per_frame: float | None = None
-    mean_power_w: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
 class BenchReport:
     rows: tuple
 
     def to_json(self) -> str:
-        return json.dumps({"rows": [r.to_dict() for r in self.rows]}, indent=2)
+        return json.dumps({"rows": [asdict(r) for r in self.rows]}, indent=2)
 
     def format_table(self) -> str:
         headers = ["B", "worst_ms", "fps", "feasible", "mJ/frame", "mean_W"]
@@ -230,7 +218,7 @@ def sweep_batches(
     batch_sizes: Sequence[int],
     latency: Mapping[int, float],
     energy_inputs: Mapping[int, EnergyInput] | None = None,
-    frame_period: int = DEFAULT_FRAME_PERIOD_US,
+    frame_period: int = DEFAULT_WINDOW_US,
 ) -> BenchReport:
     """One report row per batch size, ordered by batch size.
 
@@ -239,32 +227,32 @@ def sweep_batches(
     """
     rows: List[BenchRow] = []
     for b in sorted(set(batch_sizes)):
-        cfg = BatchConfig(b, latency, frame_period)
-        lat = batching_latency(cfg)
-        energy = mean_power = None
+        row = batching_latency(BatchConfig(b, latency, frame_period))
         if energy_inputs is not None:
             if b not in energy_inputs:
                 raise MissingInput(f"no trace for batch size {b}")
             ei = energy_inputs[b]
             energy = energy_per_frame(ei.trace, ei.t_start, ei.t_end, ei.frames_processed)
-            span = ei.t_end - ei.t_start
-            energy_j = energy * ei.frames_processed / 1e3
-            mean_power = energy_j / span
-        rows.append(
-            BenchRow(b, lat.worst_case_ms, lat.throughput_fps, lat.realtime_feasible,
-                     energy, mean_power)
-        )
+            mean_power = energy * ei.frames_processed / 1e3 / (ei.t_end - ei.t_start)
+            row = replace(row, energy_mj_per_frame=energy, mean_power_w=mean_power)
+        rows.append(row)
     return BenchReport(tuple(rows))
 
 
 def load_latency_table(f: Union[str, IO[str]]) -> Dict[int, float]:
-    """Read a latency table CSV into {batch_size: seconds}."""
-    out = dict(
-        read_table(f, ("batch_size", "latency_ms"), lambda b, ms: (int(b), float(ms) * 1e-3))
-    )
+    """Read a latency table CSV into {batch_size: seconds}; each batch size
+    B >= 1 comes once, with a finite positive latency."""
+    out: Dict[int, float] = {}
+
+    def row(batch_size: str, ms: str) -> None:
+        b, s = int(batch_size), float(ms) * 1e-3
+        if b < 1 or not 0 < s < math.inf:
+            raise ValueError(f"batch size {b}, latency {ms} ms: need B >= 1 and a finite positive latency")
+        if b in out:
+            raise ValueError(f"batch size {b} repeated")
+        out[b] = s
+
+    read_table(f, ("batch_size", "latency_ms"), row)
     if not out:
         raise MissingInput("latency table has no rows")
-    for b, s in out.items():
-        if b < 1 or not s > 0:
-            raise BadRow(f"batch size {b}, latency {s * 1e3} ms: need B >= 1 and a positive latency")
     return out

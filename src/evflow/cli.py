@@ -167,7 +167,7 @@ def _cmd_eval(args) -> int:
     tracks = labels_mod.load_labels_csv(args.truth)
     gts = labels_mod.densify_tracks(tracks)
     report = labels_mod.evaluate_detections(dets, gts, args.iou)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(asdict(report), indent=2))
     return 0
 
 
@@ -206,7 +206,7 @@ def _cmd_run(args) -> int:
         "labels_skipped": result.labels_skipped,
     }
     if result.eval_report is not None:
-        doc["eval"] = result.eval_report.to_dict()
+        doc["eval"] = asdict(result.eval_report)
     text = json.dumps(doc, indent=2)
     if args.report:
         with open(args.report, "w") as fh:
@@ -262,8 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="B=PATH:FRAMES power trace per batch size")
     p.add_argument("--window", type=time_window, help="integration window T0:T1 seconds")
     p.add_argument("--batch-sizes", type=positive_ints, help="comma list; defaults to the table's")
-    p.add_argument("--frame-period-us", type=positive_int,
-                   default=bench_mod.DEFAULT_FRAME_PERIOD_US)
+    p.add_argument("--frame-period-us", type=positive_int, default=frames_mod.DEFAULT_WINDOW_US)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p.set_defaults(fn=_cmd_bench)
 

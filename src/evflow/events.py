@@ -13,7 +13,6 @@ Binary format EVB1 (little-endian throughout), header struct format "<4sHH":
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -37,11 +36,6 @@ T_MAX = 2**64 - 1  # the largest u64 timestamp
 
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
 assert _RECORD_DTYPE.itemsize == RECORD_SIZE
-
-
-class Polarity(enum.IntEnum):
-    NEGATIVE = 0
-    POSITIVE = 1
 
 
 @dataclass(frozen=True)

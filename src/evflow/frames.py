@@ -21,7 +21,7 @@ the runs into one zeroed 2*W*H array, so an empty window costs one calloc
 that nothing reads (the detector skips a frame whose `events` is 0).
 _shrink never builds that array: the runs, already row-major sorted, are
 one CSR matrix of shape (2H, W), its row pointers a search of the row
-starts, and each channel is a row slice of it resampled by area_sum. The
+starts, resampled once by area_sum to (2h, w) and split into channels. The
 activity consumer splits the runs at W*H with one search and writes both
 halves into one zeroed H*W uint16 grid.
 
@@ -119,7 +119,8 @@ def _shrink(
     # runs are sorted row-major over the (2H, W) stack of the neg then pos rows
     indptr = np.searchsorted(cell, np.arange(2 * h + 1, dtype=np.uint64) * np.uint64(w))
     grid = sparse.csr_matrix((n, cell % np.uint32(w), indptr), shape=(2 * h, w))
-    neg, pos = (_round_u8(*area_sum(grid[rows], *size)) for rows in (slice(0, h), slice(h, None)))
+    # no row of _band_weights(2H, 2h) straddles input row H; S and D double, so rounding holds
+    neg, pos = _round_u8(*area_sum(grid, size[0], 2 * size[1])).reshape(2, size[1], size[0])
     return PolarityFrame(size[0], size[1], t0, duration, pos, neg, events)
 
 

@@ -21,7 +21,7 @@ import csv
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import IO, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -143,9 +143,6 @@ class EvalReport:
     fn: int
     n_gt: int
     iou_thresh: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _match_all(

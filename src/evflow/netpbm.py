@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import BadMagic, TruncatedRecord
+
+# one header field after whitespace and # comments; empty at the end of the blob
+_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def write_ppm(img: np.ndarray) -> bytes:
@@ -28,24 +33,15 @@ def read_netpbm(blob: bytes) -> np.ndarray:
     magic = blob[:2]
     if magic not in (b"P5", b"P6"):
         raise BadMagic(f"expected P5/P6, got {magic!r}")
-    # header: magic, width, height, maxval as whitespace/comment separated tokens
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(blob) and blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    pos, fields = 2, []
+    for _ in range(3):  # width, height, maxval
+        m = _FIELD.match(blob, pos)
+        field, pos = m[1], m.end()
+        if not field:
             raise TruncatedRecord("incomplete netpbm header")
-        if not blob[start:pos].isdigit():
-            raise BadMagic(f"expected a decimal header field, got {bytes(blob[start:pos])!r}")
-        fields.append(int(blob[start:pos]))
+        if not field.isdigit():
+            raise BadMagic(f"expected a decimal header field, got {bytes(field)!r}")
+        fields.append(int(field))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if not (w and h):

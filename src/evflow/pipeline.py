@@ -35,7 +35,7 @@ from scipy import ndimage
 from .config import numbers
 from .errors import ConfigInvalid
 from .events import EventStream
-from .frames import PolarityFrame, window_frames
+from .frames import DEFAULT_WINDOW_US, PolarityFrame, window_frames
 from .geometry import CameraPair, transfer_tracks
 from .labels import BBox, Detection, EvalReport, Track, densify_tracks, evaluate_detections, load_detections_csv
 
@@ -50,7 +50,7 @@ DetectorFn = Callable[[Sequence[PolarityFrame]], List[List[Detection]]]
 
 @dataclass
 class PipelineConfig:
-    integration_window: int = 33_333          # microseconds
+    integration_window: int = DEFAULT_WINDOW_US  # microseconds
     batch_size: int = 1
     detector: str = STUB_DETECTOR             # "stub" or path to a detections CSV
     downscale_to: Optional[Tuple[int, int]] = None

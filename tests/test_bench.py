@@ -210,9 +210,7 @@ def test_sweep_feasibility_matches_direct_call():
     lat = {1: 0.05, 4: 0.12, 16: 0.1}
     rep = sweep_batches([1, 4, 16], lat)
     for row in rep.rows:
-        direct = batching_latency(BatchConfig(row.batch_size, lat))
-        assert row.realtime_feasible == direct.realtime_feasible
-        assert row.worst_case_ms == pytest.approx(direct.worst_case_ms)
+        assert row == batching_latency(BatchConfig(row.batch_size, lat))
 
 
 def test_sweep_missing_trace_rejected():

@@ -183,6 +183,24 @@ def test_bench_window_integrates_only_inside_it(tmp_path, capsys):
     assert row["mean_power_w"] == pytest.approx(20.0)
 
 
+@pytest.mark.parametrize("table,trace,line", [
+    ("1,50\n1,60\n", None, 3),
+    ("1,50\n", "0,10,1\n0.0005,nan,1\n0.001,10,1\n", 3),
+], ids=["repeated_batch", "nan_voltage"])
+def test_bench_bad_row_exits_1_naming_its_line(tmp_path, capsys, table, trace, line):
+    lat = tmp_path / "lat.csv"
+    lat.write_text("batch_size,latency_ms\n" + table)
+    argv = ["bench", "--latency-table", str(lat), "--json"]
+    if trace:
+        power = tmp_path / "power.csv"
+        power.write_text("t_s,voltage_v,current_a\n" + trace)
+        argv += ["--trace", f"1={power}:10"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    (msg,) = err.splitlines()
+    assert msg.startswith(f"error: BadRow: line {line}: ")
+
+
 SYNC_DELAY = 3
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from evflow.bench import load_latency_table, load_power_trace
 from evflow.config import read_table
-from evflow.errors import BadMagic, BadRow, EvflowError
+from evflow.errors import BadMagic, BadRow, EvflowError, TruncatedRecord
 from evflow.events import EVB1_MAGIC, decode_stream
 from evflow.frames import PFR1_MAGIC, read_pfr1, window_frames
 from evflow.labels import BBox, Detection, load_detections_csv, load_labels_csv
@@ -77,6 +77,28 @@ def test_latency_table_rejects_impossible_rows(row):
         load_latency_table(io.StringIO(f"batch_size,latency_ms\n{row}\n"))
 
 
+@pytest.mark.parametrize("rows,message", [
+    ("1,50\n0,50\n", "line 3: batch size 0"),
+    ("1,50\n2,inf\n", "line 3: batch size 2, latency inf ms"),
+    ("1,50\n2,1e999\n", "line 3: batch size 2, latency 1e999 ms"),
+    ("1,50\n4,70\n1,60\n", "line 4: batch size 1 repeated"),
+], ids=["zero_batch", "inf_latency", "overflowing_latency", "repeated_batch"])
+def test_latency_table_bad_row_names_its_line(rows, message):
+    with pytest.raises(BadRow, match=re.escape(message)):
+        load_latency_table(io.StringIO("batch_size,latency_ms\n" + rows))
+
+
+@pytest.mark.parametrize("rows,line", [
+    ("0,12,1\n0.0005,nan,1\n0.001,12,1\n", 3),
+    ("0,12,1\n0.0005,12,1\nnan,12,1\n0.0015,12,1\n", 4),  # passes a NaN-blind grid check
+    ("0,12,1\n0.0005,12,inf\n0.001,12,1\n", 3),
+    ("0,12,1\n0.0005,12,1\n-inf,12,1\n", 4),
+], ids=["nan_voltage", "nan_mid_timestamp", "inf_current", "inf_last_timestamp"])
+def test_power_trace_non_finite_field_is_bad_row(rows, line):
+    with pytest.raises(BadRow, match=f"line {line}: fields must be finite"):
+        load_power_trace(io.StringIO("t_s,voltage_v,current_a\n" + rows))
+
+
 # --- binary headers ---
 
 
@@ -91,6 +113,22 @@ def test_latency_table_rejects_impossible_rows(row):
 def test_netpbm_unsupported_header_is_bad_magic(blob):
     with pytest.raises(BadMagic):
         read_netpbm(blob)
+
+
+@pytest.mark.parametrize("blob,error", [
+    (b"P5 #a\n2 #b\n1 #c\n255\n\x07\x09", None),
+    (b"P5#c\n2 1 255\n\x07\x09", None),
+    (b"P5\t2\r1\x0b255\x0c\x07\x09", None),
+    (b"P5 12#c\n1 255\n\x07\x09", BadMagic),  # a '#' inside a field does not start a comment
+    (b"P5 2 1 #c", TruncatedRecord),
+], ids=["comment_between_fields", "comment_after_magic", "tab_cr_vt_ff", "hash_in_field",
+        "comment_ends_blob"])
+def test_netpbm_header_spellings(blob, error):
+    if error is None:
+        assert read_netpbm(blob).tolist() == [[7, 9]]
+    else:
+        with pytest.raises(error):
+            read_netpbm(blob)
 
 
 def test_evb1_zero_side_is_bad_magic():
