@@ -52,6 +52,10 @@ class PowerTrace:
             raise ValueError("voltage and current must be equal-length non-empty 1D arrays")
         if np.any(v < 0):
             raise NegativeVoltage(f"sample {int(np.argmax(v < 0))} has voltage < 0")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is what is checked
+            finite = np.isfinite(v * c)
+        if not finite.all():
+            raise ValueError(f"sample {int(np.argmin(finite))} has a non-finite power V*I")
         v.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "voltage", v)
@@ -74,10 +78,13 @@ class PowerTrace:
         return (len(self) - 1) * self.sample_period
 
 
-def _finite_floats(*fields: str) -> tuple:
-    values = tuple(map(float, fields))
+def _power_sample(*fields: str) -> tuple:
+    """One power CSV row as floats (t, V, I); the fields and V*I must be finite."""
+    t, v, c = values = tuple(map(float, fields))
     if not all(map(math.isfinite, values)):
         raise ValueError(f"fields must be finite, got {', '.join(fields)}")
+    if not math.isfinite(v * c):
+        raise ValueError(f"power {fields[1]} V * {fields[2]} A is not finite")
     return values
 
 
@@ -87,18 +94,19 @@ def load_power_trace(f: Union[str, IO[str]]) -> PowerTrace:
     The grid must be uniform: every timestamp within 1% of the inferred
     period from its nominal position.
     """
-    rows = read_table(f, ("t_s", "voltage_v", "current_a"), _finite_floats)
+    rows = read_table(f, ("t_s", "voltage_v", "current_a"), _power_sample)
     if not rows:
         raise EmptyTrace("no samples")
     t, v, c = np.array(rows).T
     if len(rows) < 2:
         raise NonUniformSampling("need at least two samples to infer the period")
-    period = (t[-1] - t[0]) / (len(t) - 1)
-    if period <= 0:
-        raise NonUniformSampling("timestamps do not increase")
-    nominal = t[0] + np.arange(len(t)) * period
-    worst = float(np.max(np.abs(t - nominal)))
-    if worst > 0.01 * period:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check below
+        period = (t[-1] - t[0]) / (len(t) - 1)
+        if not 0 < period < math.inf:
+            raise NonUniformSampling("timestamps do not increase over a finite span")
+        nominal = t[0] + np.arange(len(t)) * period
+        worst = float(np.max(np.abs(t - nominal)))
+    if not worst <= 0.01 * period:
         raise NonUniformSampling(
             f"timestamp deviates {worst:.3e}s from a uniform {period:.3e}s grid"
         )
@@ -129,8 +137,12 @@ def energy_per_frame(
     power = tr.power
     inside = (times > t_start) & (times < t_end)
     ts = np.concatenate([[t_start], times[inside], [t_end]])
-    joules = float(np.trapezoid(np.interp(ts, times, power), ts))
-    return joules * 1e3 / frames_processed
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
+        joules = float(np.trapezoid(np.interp(ts, times, power), ts))
+    mj = joules * 1e3 / frames_processed
+    if not math.isfinite(mj):
+        raise WindowOutOfRange(f"energy over [{t_start}, {t_end}] overflows a float")
+    return mj
 
 
 @dataclass(frozen=True)
@@ -168,8 +180,8 @@ def batching_latency(cfg: BatchConfig) -> BenchRow:
     if b not in cfg.inference_latency:
         raise MissingInput(f"no inference latency for batch size {b}")
     lat_s = float(cfg.inference_latency[b])
-    if lat_s <= 0:
-        raise ValueError(f"inference latency must be positive, got {lat_s}")
+    if not 0 < lat_s < math.inf:
+        raise ValueError(f"inference latency must be finite and positive, got {lat_s}")
     fill_s = b * cfg.frame_period * 1e-6
     worst_ms = (fill_s + lat_s) * 1e3
     throughput = b / max(fill_s, lat_s)
@@ -191,7 +203,7 @@ class BenchReport:
     rows: tuple
 
     def to_json(self) -> str:
-        return json.dumps({"rows": [asdict(r) for r in self.rows]}, indent=2)
+        return json.dumps({"rows": [asdict(r) for r in self.rows]}, indent=2, allow_nan=False)
 
     def format_table(self) -> str:
         headers = ["B", "worst_ms", "fps", "feasible", "mJ/frame", "mean_W"]
@@ -241,13 +253,13 @@ def sweep_batches(
 
 def load_latency_table(f: Union[str, IO[str]]) -> Dict[int, float]:
     """Read a latency table CSV into {batch_size: seconds}; each batch size
-    B >= 1 comes once, with a finite positive latency."""
+    1 <= B < 2^63 comes once, with a finite positive latency."""
     out: Dict[int, float] = {}
 
     def row(batch_size: str, ms: str) -> None:
         b, s = int(batch_size), float(ms) * 1e-3
-        if b < 1 or not 0 < s < math.inf:
-            raise ValueError(f"batch size {b}, latency {ms} ms: need B >= 1 and a finite positive latency")
+        if not 1 <= b < 2**63 or not 0 < s < math.inf:
+            raise ValueError(f"batch size {b}, latency {ms} ms: need 1 <= B < 2^63 and a finite positive latency")
         if b in out:
             raise ValueError(f"batch size {b} repeated")
         out[b] = s

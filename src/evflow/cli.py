@@ -144,7 +144,7 @@ def _cmd_sync(args) -> int:
         "best_score": result.best_score,
         "curve": [[d, s] for d, s in result.score_curve],
     }
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -167,7 +167,7 @@ def _cmd_eval(args) -> int:
     tracks = labels_mod.load_labels_csv(args.truth)
     gts = labels_mod.densify_tracks(tracks)
     report = labels_mod.evaluate_detections(dets, gts, args.iou)
-    print(json.dumps(asdict(report), indent=2))
+    print(json.dumps(asdict(report), indent=2, allow_nan=False))
     return 0
 
 
@@ -207,7 +207,7 @@ def _cmd_run(args) -> int:
     }
     if result.eval_report is not None:
         doc["eval"] = asdict(result.eval_report)
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(text + "\n")

@@ -104,7 +104,7 @@ class TraceTooShort(EvflowError):
 
 
 class WindowOutOfRange(EvflowError):
-    """Integration window outside the trace extent."""
+    """Integration window outside the trace extent, or one whose energy overflows a float."""
 
 
 class ZeroFrames(EvflowError):

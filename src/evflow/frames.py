@@ -28,7 +28,10 @@ halves into one zeroed H*W uint16 grid.
 area_sum is the one resampler, for downscale, the runs path and sync. Output
 cell j of n_out overlaps input cell i of n_in by an integer count of 1/n_out
 input cells, so each output cell is S / D: S an integer-weighted band sum,
-D = h*w. Downscaled frames round exactly half up as (2S + D) // (2D).
+D = h*w. Downscaled frames round exactly half up as (2S + D) // (2D). A
+dense grid is cropped to its nonzero box (nonzero_box, which the detector
+also uses) before the products: a zero cell adds nothing to any band sum,
+so S is the same, and an event grid is almost all zeros.
 
 Frame dump format PFR1 (little-endian), header struct format "<4sHHQQ":
 
@@ -231,14 +234,32 @@ def _band_weights(n_in: int, n_out: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((overlap[keep], (rows, i[keep])), shape=(n_out, n_in))
 
 
+def nonzero_box(grid: np.ndarray) -> Tuple[slice, slice]:
+    """Row and column slices of the smallest box holding every nonzero cell of
+    a dense 2D grid; both are empty for an all-zero grid."""
+    rows = np.flatnonzero(grid.any(axis=1))
+    if not rows.size:
+        return slice(0, 0), slice(0, 0)
+    ys = slice(int(rows[0]), int(rows[-1]) + 1)
+    cols = np.flatnonzero(grid[ys].any(axis=0))
+    return ys, slice(int(cols[0]), int(cols[-1]) + 1)
+
+
 def area_sum(grid: np.ndarray, out_w: int, out_h: int) -> Tuple[np.ndarray, int]:
     """Area-weighted resize of a 2D grid as (S, D), the average being S / D.
 
     S = Wr @ grid @ Wc.T over integer band weights (int64 and exact for an
-    integer grid, float64 for a float grid) and D = h*w.
+    integer grid, float64 for a float grid) and D = h*w. A dense grid is
+    resampled over its nonzero box only, which leaves S unchanged: a zero
+    cell adds nothing to any band sum. A sparse grid stores only its
+    nonzeros already and is resampled whole.
     """
     h, w = grid.shape
-    return _band_weights(h, out_h) @ grid @ _band_weights(w, out_w).T, h * w
+    wr, wc = _band_weights(h, out_h), _band_weights(w, out_w)
+    if not sparse.issparse(grid):
+        ys, xs = nonzero_box(grid)
+        grid, wr, wc = grid[ys, xs], wr[:, ys], wc[:, xs]
+    return wr @ grid @ wc.T, h * w
 
 
 def _check_size(width: int, height: int, out_w: int, out_h: int) -> None:

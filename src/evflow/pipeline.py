@@ -35,7 +35,7 @@ from scipy import ndimage
 from .config import numbers
 from .errors import ConfigInvalid
 from .events import EventStream
-from .frames import DEFAULT_WINDOW_US, PolarityFrame, window_frames
+from .frames import DEFAULT_WINDOW_US, PolarityFrame, nonzero_box, window_frames
 from .geometry import CameraPair, transfer_tracks
 from .labels import BBox, Detection, EvalReport, Track, densify_tracks, evaluate_detections, load_detections_csv
 
@@ -134,14 +134,10 @@ def stub_detector(
 def _detect_frame(f: PolarityFrame, min_area: int, activity_thresh: int) -> List[Detection]:
     if f.events == 0:  # an empty window: its all-zero channels are not read
         return []
-    nonzero = f.pos | f.neg
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    if not rows.size:
+    rows, cols = nonzero_box(f.pos | f.neg)
+    if rows.start == rows.stop:  # no active cell
         return []
-    y0, y1 = int(rows[0]), int(rows[-1]) + 1
-    cols = np.flatnonzero(nonzero[y0:y1].any(axis=0))
-    x0, x1 = int(cols[0]), int(cols[-1]) + 1
-    act = f.pos[y0:y1, x0:x1].astype(np.uint16) + f.neg[y0:y1, x0:x1]
+    act = f.pos[rows, cols].astype(np.uint16) + f.neg[rows, cols]
     labels, _ = ndimage.label(act >= activity_thresh, structure=_FOUR_CONNECTED)
     dets: List[Detection] = []
     for comp, (ys, xs) in enumerate(ndimage.find_objects(labels), start=1):
@@ -151,8 +147,8 @@ def _detect_frame(f: PolarityFrame, min_area: int, activity_thresh: int) -> List
             continue
         mass = float(act[ys, xs][region].sum())
         box = BBox(
-            float(x0 + xs.start),
-            float(y0 + ys.start),
+            float(cols.start + xs.start),
+            float(rows.start + ys.start),
             float(xs.stop - xs.start),
             float(ys.stop - ys.start),
         )

@@ -4,10 +4,13 @@ The two modalities are first reduced to comparable "activity" signals:
 per-window pos+neg event counts on one side, which frames.window_activity
 builds straight from each window's event runs with no polarity frame, and
 absolute consecutive-frame differences on the other. Both are then
-resampled onto a small common raster and the integer frame offset
-maximizing the mean zero-mean normalized cross-correlation is reported,
-together with the whole score curve. Each raster is standardised once, so one matrix product scores every
-event/frame pair and offset d is the mean of that matrix's d-th diagonal.
+resampled onto a small common raster by frames.area_sum, which crops each
+grid to its box of nonzero cells first: both signals are mostly zero, and a
+zero cell changes no raster cell. The integer frame offset maximizing the
+mean zero-mean normalized cross-correlation is reported, together with the
+whole score curve. Each raster is standardised once, so one matrix product
+scores every event/frame pair and offset d is the mean of that matrix's
+d-th diagonal.
 """
 
 from __future__ import annotations

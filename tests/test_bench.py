@@ -60,6 +60,16 @@ def test_load_rejects_negative_voltage():
         load_power_trace(csv("t_s,voltage_v,current_a\n0,12,1\n0.0005,-1,1\n0.001,12,1\n"))
 
 
+@pytest.mark.parametrize("v,c", [
+    ([12, 1e200, 12], [1, 1e200, 1]),
+    ([12, np.nan, 12], [1, 1, 1]),
+    ([12, 12, 12], [1, np.inf, 1]),
+], ids=["overflow", "nan", "inf"])
+def test_trace_power_must_be_finite(v, c):
+    with pytest.raises(ValueError, match="sample 1 has a non-finite power"):
+        PowerTrace(0.0005, v, c)
+
+
 def test_load_rejects_single_sample():
     with pytest.raises(NonUniformSampling):
         load_power_trace(csv("t_s,voltage_v,current_a\n0,12,1\n"))
@@ -141,6 +151,12 @@ def test_energy_window_validation():
         energy_per_frame(tr, 0.0, 1.0, 0)
 
 
+def test_energy_that_overflows_is_window_out_of_range():
+    tr = PowerTrace(1e200, np.full(3, 1e100), np.full(3, 1e100))  # 1e200 W for 2e200 s
+    with pytest.raises(WindowOutOfRange, match="overflows"):
+        energy_per_frame(tr, 0.0, tr.duration, 1)
+
+
 # --- batching model ---
 
 
@@ -179,6 +195,12 @@ def test_feasibility_monotone_under_sublinear_latency():
     assert not feas[0]
     first_true = feas.index(True)
     assert all(feas[first_true:])
+
+
+@pytest.mark.parametrize("lat_s", [0.0, -0.05, float("nan"), float("inf")])
+def test_latency_must_be_finite_and_positive(lat_s):
+    with pytest.raises(ValueError, match="finite and positive"):
+        sweep_batches([1], {1: lat_s})
 
 
 # --- sweeping ---

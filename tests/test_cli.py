@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evflow.cli import main
 from evflow.events import SensorGeometry, decode_stream
@@ -186,7 +191,8 @@ def test_bench_window_integrates_only_inside_it(tmp_path, capsys):
 @pytest.mark.parametrize("table,trace,line", [
     ("1,50\n1,60\n", None, 3),
     ("1,50\n", "0,10,1\n0.0005,nan,1\n0.001,10,1\n", 3),
-], ids=["repeated_batch", "nan_voltage"])
+    ("1,50\n", "0,1e200,1e200\n1,1e200,1e200\n2,1e200,1e200\n", 2),
+], ids=["repeated_batch", "nan_voltage", "overflowing_power"])
 def test_bench_bad_row_exits_1_naming_its_line(tmp_path, capsys, table, trace, line):
     lat = tmp_path / "lat.csv"
     lat.write_text("batch_size,latency_ms\n" + table)
@@ -199,6 +205,47 @@ def test_bench_bad_row_exits_1_naming_its_line(tmp_path, capsys, table, trace, l
     assert (code, out) == (1, "")
     (msg,) = err.splitlines()
     assert msg.startswith(f"error: BadRow: line {line}: ")
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON number {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bench_on_finite_fields_prints_strict_json_or_one_error(data):
+    b = data.draw(st.integers(1, 64) | st.integers(1, 10**400))
+    table = f"batch_size,latency_ms\n{b},{data.draw(FINITE)!r}\n"
+    n = data.draw(st.integers(2, 6))
+    if data.draw(st.booleans()):  # a uniform grid, so that most traces load
+        t0, dt = data.draw(FINITE), data.draw(FINITE)
+        t = [t0 + k * dt for k in range(n)]
+    else:
+        t = data.draw(st.lists(FINITE, min_size=n, max_size=n))
+    trace = "t_s,voltage_v,current_a\n" + "".join(
+        f"{tk!r},{data.draw(FINITE)!r},{data.draw(FINITE)!r}\n" for tk in t
+    )
+    with tempfile.TemporaryDirectory() as d:
+        lat, power = pathlib.Path(d, "lat.csv"), pathlib.Path(d, "power.csv")
+        lat.write_text(table)
+        power.write_text(trace)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["bench", "--latency-table", str(lat), "--batch-sizes", str(b),
+                         "--trace", f"{b}={power}:{data.draw(st.integers(1, 1000))}", "--json"])
+    if code == 0:
+        (row,) = strict_json(out.getvalue())["rows"]
+        assert row["batch_size"] == b
+    else:
+        assert (code, out.getvalue()) == (1, "")
+        (msg,) = err.getvalue().splitlines()
+        assert msg.startswith("error: ")
 
 
 SYNC_DELAY = 3

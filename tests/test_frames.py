@@ -321,6 +321,55 @@ def test_common_raster_matches_dense_oracle(shape, raster, dtype):
     assert np.abs(r - area_average(g, *raster)).max() <= 1e-12
 
 
+def assert_area_sum_is_uncropped(g, out_w, out_h):
+    """area_sum equals the product over the whole grid, in value, dtype and type."""
+    h, w = g.shape
+    s, d = area_sum(g, out_w, out_h)
+    want = _band_weights(h, out_h) @ g @ _band_weights(w, out_w).T
+    assert type(s) is np.ndarray and s.dtype == want.dtype and s.shape == (out_h, out_w)
+    assert np.array_equal(s, want) and d == g.size
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_area_sum_over_the_nonzero_box_equals_the_whole_grid(data):
+    h, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    out_h, out_w = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+    dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.float64]))
+    y0, x0 = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
+    y1, x1 = data.draw(st.integers(y0 + 1, h)), data.draw(st.integers(x0 + 1, w))
+    kind = data.draw(st.sampled_from(["empty", "cell", "top", "bottom", "left", "right", "whole", "any"]))
+    y0, y1, x0, x1 = {
+        "empty": (0, 0, 0, 0),
+        "cell": (y0, y0 + 1, x0, x0 + 1),
+        "top": (0, y1, x0, x1),
+        "bottom": (y0, h, x0, x1),
+        "left": (y0, y1, 0, x1),
+        "right": (y0, y1, x0, w),
+        "whole": (0, h, 0, w),
+        "any": (y0, y1, x0, x1),
+    }[kind]
+    n = (y1 - y0) * (x1 - x0)
+    if dtype == np.float64:
+        high, cells = 1e6, st.floats(-1e6, 1e6)
+    else:
+        high = np.iinfo(dtype).max
+        cells = st.integers(0, high)
+    g = np.zeros((h, w), dtype=dtype)
+    g[y0:y1, x0:x1] = np.reshape(data.draw(st.lists(cells, min_size=n, max_size=n)), (y1 - y0, x1 - x0))
+    if n:  # nonzero corners make the drawn box the nonzero box
+        g[y0, x0] = g[y1 - 1, x1 - 1] = high
+    assert_area_sum_is_uncropped(g, out_w, out_h)
+
+
+def test_area_sum_of_a_disc_sized_blob_at_720p():
+    g = np.zeros((720, 1280), dtype=np.uint16)
+    yy, xx = np.ogrid[:720, :1280]
+    g[(yy - 301) ** 2 + (xx - 517) ** 2 <= 14**2] = 510  # one r = 14 px disc
+    assert_area_sum_is_uncropped(g, 320, 180)
+    assert_area_sum_is_uncropped(g.astype(np.float64), 320, 180)
+
+
 def test_render_all_zero_is_black():
     f = accumulate(EventStream.empty(SMALL), 0, 1000)
     img = render_rgb(f)

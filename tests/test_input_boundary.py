@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from evflow.bench import load_latency_table, load_power_trace
 from evflow.config import read_table
-from evflow.errors import BadMagic, BadRow, EvflowError, TruncatedRecord
+from evflow.errors import BadMagic, BadRow, EvflowError, NonUniformSampling, TruncatedRecord
 from evflow.events import EVB1_MAGIC, decode_stream
 from evflow.frames import PFR1_MAGIC, read_pfr1, window_frames
 from evflow.labels import BBox, Detection, load_detections_csv, load_labels_csv
@@ -71,7 +71,8 @@ def test_detections_read_in_any_column_order():
     assert load_detections_csv(io.StringIO(text)) == [Detection(9, BBox(1, 2, 3, 4), 0.5, 7)]
 
 
-@pytest.mark.parametrize("row", ["0,50", "1,0", "1,-5", "1,nan"])
+@pytest.mark.parametrize("row", ["0,50", "1,0", "1,-5", "1,nan", f"{2**63},50",
+                                 pytest.param(f"{10**400},50", id="10^400,50")])
 def test_latency_table_rejects_impossible_rows(row):
     with pytest.raises(BadRow):
         load_latency_table(io.StringIO(f"batch_size,latency_ms\n{row}\n"))
@@ -96,6 +97,24 @@ def test_latency_table_bad_row_names_its_line(rows, message):
 ], ids=["nan_voltage", "nan_mid_timestamp", "inf_current", "inf_last_timestamp"])
 def test_power_trace_non_finite_field_is_bad_row(rows, line):
     with pytest.raises(BadRow, match=f"line {line}: fields must be finite"):
+        load_power_trace(io.StringIO("t_s,voltage_v,current_a\n" + rows))
+
+
+@pytest.mark.parametrize("rows,line", [
+    ("0,1e200,1e200\n1,1e200,1e200\n2,1e200,1e200\n", 2),
+    ("0,12,1\n0.0005,1e308,-10\n0.001,12,1\n", 3),
+], ids=["overflowing_power", "overflowing_negative_power"])
+def test_power_trace_overflowing_power_is_bad_row(rows, line):
+    with pytest.raises(BadRow, match=f"line {line}: power .* is not finite"):
+        load_power_trace(io.StringIO("t_s,voltage_v,current_a\n" + rows))
+
+
+@pytest.mark.parametrize("rows", [
+    "-1e308,1,1\n1e308,1,1\n",  # the span overflows
+    "0,1,1\n0,1,1\n0,1,1\n1.7976931348623157e308,1,1\n",  # the last nominal time overflows
+], ids=["span", "nominal_time"])
+def test_power_trace_overflowing_timestamps_are_non_uniform(rows):
+    with pytest.raises(NonUniformSampling):
         load_power_trace(io.StringIO("t_s,voltage_v,current_a\n" + rows))
 
 
