@@ -6,8 +6,9 @@ window with the trapezoid rule and divides by the frames processed in it.
 The latency model captures the real-time batching trade-off: a batch of B
 frames takes B * frame_period to fill, then one inference pass; the batch
 is serviceable in real time iff inference finishes before the next batch
-is full. The model's result is one BenchRow per batch size: batching_latency
-fills its latency fields, sweep_batches adds the energy ones.
+is full. The model's result is one BenchRow per batch size:
+batching_latency(batch_size, latency_s, frame_period) fills its latency
+fields, sweep_batches adds the energy ones.
 
 Power CSV: header ``t_s,voltage_v,current_a``, one sample per row.
 Latency table CSV: header ``batch_size,latency_ms``.
@@ -44,8 +45,8 @@ class PowerTrace:
     current: np.ndarray   # amperes
 
     def __post_init__(self):
-        if self.sample_period <= 0:
-            raise ValueError(f"sample_period must be positive, got {self.sample_period}")
+        if not 0 < self.sample_period < math.inf:
+            raise ValueError(f"sample_period must be finite and positive, got {self.sample_period}")
         v = np.asarray(self.voltage, dtype=np.float64)
         c = np.asarray(self.current, dtype=np.float64)
         if v.shape != c.shape or v.ndim != 1 or v.size == 0:
@@ -146,19 +147,6 @@ def energy_per_frame(
 
 
 @dataclass(frozen=True)
-class BatchConfig:
-    batch_size: int
-    inference_latency: Mapping[int, float]  # batch size -> seconds
-    frame_period: int = DEFAULT_WINDOW_US  # microseconds
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.frame_period <= 0:
-            raise ValueError(f"frame_period must be positive, got {self.frame_period}")
-
-
-@dataclass(frozen=True)
 class BenchRow:
     batch_size: int
     worst_case_ms: float
@@ -168,21 +156,26 @@ class BenchRow:
     mean_power_w: float | None = None
 
 
-def batching_latency(cfg: BatchConfig) -> BenchRow:
-    """Worst-case detection latency and feasibility for one batch size, as a
-    row without energy.
+def batching_latency(
+    batch_size: int, latency_s: float, frame_period: int = DEFAULT_WINDOW_US
+) -> BenchRow:
+    """Worst-case detection latency and feasibility of batch size B whose
+    inference pass takes latency_s seconds, at frame_period microseconds, as
+    a row without energy.
 
     A frame may wait for the whole batch to fill (B * frame_period) and
     then for one inference pass. Real-time feasible iff the pass finishes
     before the next batch is full.
     """
-    b = cfg.batch_size
-    if b not in cfg.inference_latency:
-        raise MissingInput(f"no inference latency for batch size {b}")
-    lat_s = float(cfg.inference_latency[b])
+    b = batch_size
+    if b < 1:
+        raise ValueError(f"batch_size must be >= 1, got {b}")
+    if frame_period <= 0:
+        raise ValueError(f"frame_period must be positive, got {frame_period}")
+    lat_s = float(latency_s)
     if not 0 < lat_s < math.inf:
         raise ValueError(f"inference latency must be finite and positive, got {lat_s}")
-    fill_s = b * cfg.frame_period * 1e-6
+    fill_s = b * frame_period * 1e-6
     worst_ms = (fill_s + lat_s) * 1e3
     throughput = b / max(fill_s, lat_s)
     return BenchRow(b, worst_ms, throughput, lat_s <= fill_s)
@@ -239,7 +232,9 @@ def sweep_batches(
     """
     rows: List[BenchRow] = []
     for b in sorted(set(batch_sizes)):
-        row = batching_latency(BatchConfig(b, latency, frame_period))
+        if b not in latency:
+            raise MissingInput(f"no inference latency for batch size {b}")
+        row = batching_latency(b, latency[b], frame_period)
         if energy_inputs is not None:
             if b not in energy_inputs:
                 raise MissingInput(f"no trace for batch size {b}")

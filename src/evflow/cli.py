@@ -29,12 +29,13 @@ from .geometry import load_calibration, transfer_tracks
 from .pipeline import PipelineConfig, pipeline_from_config, run_pipeline
 
 
-# argparse types: a value they reject with ValueError is a usage error (exit 2)
+# argparse types: a value they reject with ValueError is a usage error (exit 2).
+# Integers stay below 2^63, as the latency table's batch sizes do.
 
 
 def positive_ints(text: str) -> List[int]:
     values = [int(v) for v in text.split(",")]
-    if min(values) < 1:
+    if min(values) < 1 or max(values) >= 2**63:
         raise ValueError(text)
     return values
 
@@ -46,7 +47,7 @@ def positive_int(text: str) -> int:
 
 def non_negative_int(text: str) -> int:
     value = int(text)
-    if value < 0:
+    if not 0 <= value < 2**63:
         raise ValueError(text)
     return value
 
@@ -132,13 +133,7 @@ def _cmd_sync(args) -> int:
     seq = sync_mod.GrayFrameSequence(
         gray[0].shape[1], gray[0].shape[0], args.frame_period_us, tuple(gray)
     )
-    rgb_act = sync_mod.gray_activity_sequence(seq)
-    ev_act = sync_mod.event_activity_sequence(stream, args.frame_period_us, len(rgb_act))
-    result = sync_mod.find_offset(
-        sync_mod.to_common_raster(ev_act),
-        sync_mod.to_common_raster(rgb_act),
-        args.max_offset,
-    )
+    result = sync_mod.align(stream, seq, args.max_offset)
     doc = {
         "best_offset": result.best_offset,
         "best_score": result.best_score,

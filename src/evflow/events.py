@@ -49,12 +49,6 @@ class SensorGeometry:
             raise ValueError(f"sensor sides must be in 1..65535, got {self.width}x{self.height}")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violation: str | None = None
-
-
 def _first_violation(
     geometry: SensorGeometry, t: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarray
 ) -> Optional[EvflowError]:
@@ -156,14 +150,6 @@ def encode_stream(s: EventStream) -> bytes:
     """Serialize to EVB1; decode_stream(encode_stream(s)) == s bit-exactly."""
     rec = np.rec.fromarrays([s.t, s.x, s.y, s.p], dtype=_RECORD_DTYPE)
     return _EVB1_HEADER.pack(EVB1_MAGIC, s.width, s.height) + rec.tobytes()
-
-
-def validate(s: EventStream) -> ValidationReport:
-    """Check stream invariants, reporting the first violation instead of raising."""
-    violation = _first_violation(s.geometry, s.t, s.x, s.y, s.p)
-    if violation is None:
-        return ValidationReport(True)
-    return ValidationReport(False, f"{type(violation).__name__}: {violation}")
 
 
 def slice_interval(s: EventStream, t0: int, t1: int) -> EventStream:

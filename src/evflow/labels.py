@@ -22,12 +22,15 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import IO, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from itertools import chain, islice
+from typing import IO, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from .config import open_text, read_table
 from .errors import BadRow, NoGroundTruth
+
+_BLOCK_PAIRS = 65_536  # (detection, ground truth) pairs per IoU pass: about 10 MB
 
 
 @dataclass(frozen=True)
@@ -157,9 +160,10 @@ def _match_all(
     highest IoU if that IoU reaches iou_thresh. flags[k] says whether the
     k-th detection in that order matched.
 
-    The IoUs of all (detection, ground truth of its frame) pairs come from
-    one numpy pass with iou's operation order, so they equal iou's values;
-    only the greedy claim runs per pair in Python.
+    The IoUs of the (detection, ground truth of its frame) pairs come from
+    numpy passes over blocks of at most _BLOCK_PAIRS pairs, with iou's
+    operation order, so they equal iou's values; the greedy claim takes
+    them block by block, per pair in Python.
     """
     span: Dict[int, Tuple[int, int]] = {}  # frame -> (its first row in gt_xywh, count)
     gt_xywh: List[Tuple[float, float, float, float]] = []
@@ -169,30 +173,15 @@ def _match_all(
     order = sorted(range(len(all_dets)), key=lambda i: -all_dets[i].confidence)
     dets = [all_dets[i] for i in order]
     spans = [span.get(d.frame_idx, (0, 0)) for d in dets]
-    starts = np.array([s for s, _ in spans], dtype=np.int64)
-    counts = np.array([n for _, n in spans], dtype=np.int64)
-    n_pairs = int(counts.sum())
-    # pairs run detection by detection; pair k of detection i is ground truth
-    # starts[i] + k - (index of detection i's first pair)
-    pair_det = np.repeat(np.arange(len(dets)), counts)
-    pair_gt = np.arange(n_pairs) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    det_xywh = np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets], dtype=np.float64)
-    ax, ay, aw, ah = det_xywh.reshape(-1, 4)[pair_det].T
-    bx, by, bw, bh = np.array(gt_xywh, dtype=np.float64).reshape(-1, 4)[pair_gt].T
-    ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
-    iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
-    inter = np.maximum(0.0, ix) * np.maximum(0.0, iy)
-    union = aw * ah + bw * bh - inter
-    ious = np.divide(inter, union, out=np.zeros(n_pairs), where=union > 0.0).tolist()
+    det_xywh = [(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets]
+    ious = chain.from_iterable(_pair_ious(det_xywh, gt_xywh, spans))
     taken = [False] * len(gt_xywh)
     flags = []
-    p = 0
     for start, count in spans:
         best_j, best_iou = -1, 0.0
-        for j, v in enumerate(ious[p:p + count], start):
+        for j, v in enumerate(islice(ious, count), start):
             if v > best_iou and not taken[j]:
                 best_j, best_iou = j, v
-        p += count
         hit = best_j >= 0 and best_iou >= iou_thresh
         if hit:
             taken[best_j] = True
@@ -200,13 +189,31 @@ def _match_all(
     return flags, len(gt_xywh)
 
 
-def average_precision(
-    all_dets: Sequence[Detection],
-    all_gts: Mapping[int, Sequence[BBox]],
-    iou_thresh: float = 0.5,
-) -> float:
-    """All-point interpolated AP over the full detection ranking."""
-    return evaluate_detections(all_dets, all_gts, iou_thresh).ap
+def _pair_ious(
+    det_xywh: Sequence[Tuple[float, ...]],
+    gt_xywh: Sequence[Tuple[float, ...]],
+    spans: Sequence[Tuple[int, int]],
+) -> Iterator[List[float]]:
+    """The pairs' IoUs as lists, one per block of at most _BLOCK_PAIRS pairs.
+    Pairs run detection by detection: detection i, with span (start, count),
+    pairs with ground truths start..start+count-1."""
+    a_all = np.array(det_xywh, dtype=np.float64).reshape(-1, 4)
+    b_all = np.array(gt_xywh, dtype=np.float64).reshape(-1, 4)
+    starts = np.array([s for s, _ in spans], dtype=np.int64)
+    counts = np.array([n for _, n in spans], dtype=np.int64)
+    ends = np.cumsum(counts)  # one past each detection's last pair
+    gt_shift = starts - (ends - counts)  # pair k of detection i is ground truth k + gt_shift[i]
+    n_pairs = int(counts.sum())
+    for lo in range(0, n_pairs, _BLOCK_PAIRS):
+        pair = np.arange(lo, min(lo + _BLOCK_PAIRS, n_pairs))
+        pair_det = np.searchsorted(ends, pair, side="right")
+        ax, ay, aw, ah = a_all[pair_det].T
+        bx, by, bw, bh = b_all[pair + gt_shift[pair_det]].T
+        ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+        iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+        inter = np.maximum(0.0, ix) * np.maximum(0.0, iy)
+        union = aw * ah + bw * bh - inter
+        yield np.divide(inter, union, out=np.zeros(pair.size), where=union > 0.0).tolist()
 
 
 def evaluate_detections(

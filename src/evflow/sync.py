@@ -1,16 +1,17 @@
 """Temporal alignment of event and frame streams via ZNCC.
 
-The two modalities are first reduced to comparable "activity" signals:
-per-window pos+neg event counts on one side, which frames.window_activity
-builds straight from each window's event runs with no polarity frame, and
-absolute consecutive-frame differences on the other. Both are then
-resampled onto a small common raster by frames.area_sum, which crops each
-grid to its box of nonzero cells first: both signals are mostly zero, and a
-zero cell changes no raster cell. The integer frame offset maximizing the
-mean zero-mean normalized cross-correlation is reported, together with the
-whole score curve. Each raster is standardised once, so one matrix product
-scores every event/frame pair and offset d is the mean of that matrix's
-d-th diagonal.
+align(stream, seq, max_abs_offset) is the entry point; the functions below
+are its steps. The two modalities are first reduced to comparable
+"activity" signals: per-window pos+neg event counts on one side, which
+frames.window_activity builds straight from each window's event runs with
+no polarity frame, and absolute consecutive-frame differences on the other.
+Both are then resampled onto a small common raster by frames.area_sum,
+which crops each grid to its box of nonzero cells first: both signals are
+mostly zero, and a zero cell changes no raster cell. The integer frame
+offset maximizing the mean zero-mean normalized cross-correlation is
+reported, together with the whole score curve. Each raster is standardised
+once, so one matrix product scores every event/frame pair and offset d is
+the mean of that matrix's d-th diagonal.
 """
 
 from __future__ import annotations
@@ -104,12 +105,14 @@ def find_offset(
     scores = Z_ev @ Z_rgb.T / cells, over the standardised grids, is the ZNCC
     of every pair; offset d is the mean of np.diagonal(scores, d). A positive
     result means the second sequence lags the first by that many frames.
-    Zero-variance pairs are skipped (and logged); a candidate offset with no
-    scorable pair raises InsufficientOverlap. Ties prefer the smaller |d|,
-    then the negative d.
+    Zero-variance pairs are skipped (and logged); an empty sequence, or a
+    candidate offset with no scorable pair, raises InsufficientOverlap. Ties
+    prefer the smaller |d|, then the negative d.
     """
     if max_abs_offset < 0:
         raise ValueError("max_abs_offset must be >= 0")
+    if not (len(ev_seq) and len(rgb_seq)):
+        raise InsufficientOverlap(f"no frame pairs in {len(ev_seq)} event, {len(rgb_seq)} frame grids")
     shape = ev_seq[0].shape
     for g in list(ev_seq) + list(rgb_seq):
         if g.shape != shape:
@@ -155,3 +158,13 @@ def to_common_raster(
     from area_sum's integer band weights (S exact for an integer grid)."""
     w, h = raster
     return [s / d for s, d in (area_sum(g, w, h) for g in grids)]
+
+
+def align(s: EventStream, seq: GrayFrameSequence, max_abs_offset: int) -> OffsetResult:
+    """Offset of seq's frames against the stream, by find_offset over the
+    common rasters of the gray activity and of the event activity of the
+    windows of seq.frame_period that the gray grids cover. A positive result
+    means the frames lag the events."""
+    rgb = gray_activity_sequence(seq)
+    ev = event_activity_sequence(s, seq.frame_period, len(rgb))
+    return find_offset(to_common_raster(ev), to_common_raster(rgb), max_abs_offset)

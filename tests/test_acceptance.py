@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from evflow.bench import BatchConfig, PowerTrace, batching_latency, energy_per_frame, smooth
+from evflow.bench import PowerTrace, batching_latency, energy_per_frame, smooth
 from evflow.events import EventStream, SensorGeometry
 from evflow.frames import PolarityFrame, accumulate
 from evflow.geometry import (
@@ -25,7 +25,7 @@ from evflow.geometry import (
     transfer_point,
     undistort,
 )
-from evflow.labels import BBox, Detection, average_precision, densify_tracks
+from evflow.labels import BBox, Detection, densify_tracks, evaluate_detections
 from evflow.pipeline import PipelineConfig, run_pipeline
 from evflow.sync import (
     GrayFrameSequence,
@@ -259,8 +259,8 @@ def test_criterion_6_labels_eval():
 
         gts = {k: [BBox(15.0 * k, 5, 10, 10)] for k in range(8)}
         perfect = [Detection(k, BBox(15.0 * k, 5, 10, 10), 0.9) for k in range(8)]
-        assert average_precision(perfect, gts, 0.5) == 1.0
-        assert average_precision([], gts, 0.5) == 0.0
+        assert evaluate_detections(perfect, gts, 0.5).ap == 1.0
+        assert evaluate_detections([], gts, 0.5).ap == 0.0
 
         # [TP, FP, TP] over two ground truths
         gts3 = {0: [BBox(0, 0, 10, 10)], 1: [BBox(0, 0, 10, 10)]}
@@ -269,7 +269,7 @@ def test_criterion_6_labels_eval():
             Detection(5, BBox(0, 0, 10, 10), 0.8),
             Detection(1, BBox(0, 0, 10, 10), 0.7),
         ]
-        ap = average_precision(dets3, gts3, 0.5)
+        ap = evaluate_detections(dets3, gts3, 0.5).ap
         assert ap == pytest.approx(0.8333333, abs=1e-6)
         # independent envelope evaluation of the same ranking
         recalls, precs = [0.5, 0.5, 1.0], [1.0, 0.5, 2 / 3]
@@ -287,12 +287,12 @@ def test_criterion_6_labels_eval():
 def test_criterion_7_batching_model():
     @report(7, "B=16/L=100ms -> 633.3 +- 0.5 ms (< 1 s); B=4/L=150ms -> ~283 ms")
     def body():
-        res16 = batching_latency(BatchConfig(16, {16: 0.100}, frame_period=33_333))
+        res16 = batching_latency(16, 0.100, frame_period=33_333)
         assert res16.worst_case_ms == pytest.approx(633.3, abs=0.5)
         assert res16.worst_case_ms < 1000.0
         assert res16.realtime_feasible
 
-        res4 = batching_latency(BatchConfig(4, {4: 0.150}, frame_period=33_333))
+        res4 = batching_latency(4, 0.150, frame_period=33_333)
         assert res4.worst_case_ms == pytest.approx(283.3, abs=0.5)
         print(f"  B=16: {res16.worst_case_ms:.1f} ms, B=4: {res4.worst_case_ms:.1f} ms")
 

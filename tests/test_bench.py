@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from evflow.bench import (
-    BatchConfig,
     EnergyInput,
     PowerTrace,
     batching_latency,
@@ -68,6 +67,12 @@ def test_load_rejects_negative_voltage():
 def test_trace_power_must_be_finite(v, c):
     with pytest.raises(ValueError, match="sample 1 has a non-finite power"):
         PowerTrace(0.0005, v, c)
+
+
+@pytest.mark.parametrize("period", [0.0, -0.0005, float("nan"), float("inf")])
+def test_trace_sample_period_must_be_finite_and_positive(period):
+    with pytest.raises(ValueError, match="sample_period must be finite and positive"):
+        PowerTrace(period, [1, 1], [1, 1])
 
 
 def test_load_rejects_single_sample():
@@ -161,37 +166,34 @@ def test_energy_that_overflows_is_window_out_of_range():
 
 
 def test_batch16_inference_100ms_stays_below_one_second():
-    cfg = BatchConfig(16, {16: 0.100}, frame_period=33_333)
-    res = batching_latency(cfg)
+    res = batching_latency(16, 0.100, frame_period=33_333)
     assert res.worst_case_ms == pytest.approx(633.3, abs=0.5)
     assert res.worst_case_ms < 1000.0
     assert res.realtime_feasible
 
 
 def test_batch4_inference_150ms():
-    cfg = BatchConfig(4, {4: 0.150}, frame_period=33_333)
-    res = batching_latency(cfg)
+    res = batching_latency(4, 0.150, frame_period=33_333)
     assert res.worst_case_ms == pytest.approx(133.3 + 150.0, abs=0.5)
     assert not res.realtime_feasible  # 150 ms > 133 ms fill time
 
 
 def test_batch1_boundary_case_is_feasible():
-    cfg = BatchConfig(1, {1: 0.033333}, frame_period=33_333)
-    res = batching_latency(cfg)
+    res = batching_latency(1, 0.033333, frame_period=33_333)
     assert res.realtime_feasible
     assert res.worst_case_ms == pytest.approx(66.7, abs=0.1)
 
 
 def test_worst_case_increases_with_batch_size():
     lat = {b: 0.05 + 0.004 * b for b in range(1, 33)}
-    worst = [batching_latency(BatchConfig(b, lat)).worst_case_ms for b in range(1, 33)]
+    worst = [batching_latency(b, lat[b]).worst_case_ms for b in range(1, 33)]
     assert all(b2 > b1 for b1, b2 in zip(worst, worst[1:]))
 
 
 def test_feasibility_monotone_under_sublinear_latency():
     # affine latency: L(B)/B is non-increasing, so feasibility cannot flip back
     lat = {b: 0.05 + 0.01 * b for b in range(1, 20)}
-    feas = [batching_latency(BatchConfig(b, lat)).realtime_feasible for b in range(1, 20)]
+    feas = [batching_latency(b, lat[b]).realtime_feasible for b in range(1, 20)]
     assert not feas[0]
     first_true = feas.index(True)
     assert all(feas[first_true:])
@@ -201,6 +203,16 @@ def test_feasibility_monotone_under_sublinear_latency():
 def test_latency_must_be_finite_and_positive(lat_s):
     with pytest.raises(ValueError, match="finite and positive"):
         sweep_batches([1], {1: lat_s})
+
+
+@pytest.mark.parametrize("b,period,message", [
+    (0, 33_333, "batch_size must be >= 1"),
+    (1, 0, "frame_period must be positive"),
+    (4, -1, "frame_period must be positive"),
+])
+def test_batching_latency_rejects_impossible_arguments(b, period, message):
+    with pytest.raises(ValueError, match=message):
+        batching_latency(b, 0.05, period)
 
 
 # --- sweeping ---
@@ -232,7 +244,12 @@ def test_sweep_feasibility_matches_direct_call():
     lat = {1: 0.05, 4: 0.12, 16: 0.1}
     rep = sweep_batches([1, 4, 16], lat)
     for row in rep.rows:
-        assert row == batching_latency(BatchConfig(row.batch_size, lat))
+        assert row == batching_latency(row.batch_size, lat[row.batch_size])
+
+
+def test_sweep_missing_latency_rejected():
+    with pytest.raises(MissingInput, match="no inference latency for batch size 2"):
+        sweep_batches([1, 2], {1: 0.05})
 
 
 def test_sweep_missing_trace_rejected():

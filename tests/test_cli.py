@@ -237,9 +237,15 @@ def test_bench_on_finite_fields_prints_strict_json_or_one_error(data):
         power.write_text(trace)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["bench", "--latency-table", str(lat), "--batch-sizes", str(b),
-                         "--trace", f"{b}={power}:{data.draw(st.integers(1, 1000))}", "--json"])
-    if code == 0:
+            try:
+                code = main(["bench", "--latency-table", str(lat), "--batch-sizes", str(b),
+                             "--trace", f"{b}={power}:{data.draw(st.integers(1, 1000))}", "--json"])
+            except SystemExit as exc:
+                code = exc.code
+    if b >= 2**63:  # past int64, the --batch-sizes flag is a usage error
+        assert (code, out.getvalue()) == (2, "")
+        assert "error: argument --batch-sizes:" in err.getvalue()
+    elif code == 0:
         (row,) = strict_json(out.getvalue())["rows"]
         assert row["batch_size"] == b
     else:
@@ -528,7 +534,13 @@ def test_usage_error_exits_2(capsys):
     ["sync", "--events", "e.evb1", "--frames-dir", "d", "--frame-period-us", "1",
      "--max-offset", "-1"],
     ["eval", "--detections", "d.csv", "--truth", "t.csv", "--iou", "0"],
-], ids=lambda argv: " ".join(argv[-2:]))
+    # integers past int64
+    ["bench", "--latency-table", "t.csv", "--frame-period-us", "1" + "0" * 400],
+    ["bench", "--latency-table", "t.csv", "--trace", "1=p.csv:" + "1" * 401],
+    ["sync", "--events", "e.evb1", "--frames-dir", "d", "--frame-period-us", "1",
+     "--max-offset", str(2**64)],
+    ["accumulate", "--events", "e.evb1", "--out-dir", "o", "--downscale", f"{10**400},1"],
+], ids=lambda argv: " ".join(argv[-2:])[:40])
 def test_malformed_flag_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

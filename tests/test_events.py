@@ -14,7 +14,6 @@ from evflow.events import (
     decode_stream,
     encode_stream,
     slice_interval,
-    validate,
 )
 
 HD = SensorGeometry(1280, 720)
@@ -96,21 +95,18 @@ def test_round_trip_million_random_events():
 
 
 def test_validate_ok():
-    assert validate(make_stream(HD, [1, 2, 3], [1, 2, 3], [4, 5, 6], [0, 1, 0])).ok
+    s = EventStream(HD, [1, 2, 3], [1, 2, 3], [4, 5, 6], [0, 1, 0], check=True)
+    assert s.t.tolist() == [1, 2, 3] and s.p.tolist() == [0, 1, 0]
 
 
 def test_validate_reports_nonmonotonic_index():
-    s = EventStream(HD, np.array([5, 3], dtype=np.uint64), [0, 0], [0, 0], [0, 0], check=False)
-    rep = validate(s)
-    assert not rep.ok
-    assert "NonMonotonic" in rep.violation and "index 1" in rep.violation
+    with pytest.raises(NonMonotonic, match="index 1: 3 < 5"):
+        EventStream(HD, np.array([5, 3], dtype=np.uint64), [0, 0], [0, 0], [0, 0], check=True)
 
 
 def test_validate_reports_out_of_bounds():
-    s = EventStream(HD, [1], [1280], [0], [0], check=False)
-    rep = validate(s)
-    assert not rep.ok
-    assert "OutOfBounds" in rep.violation
+    with pytest.raises(OutOfBounds, match=r"index 0: \(1280, 0\)"):
+        EventStream(HD, [1], [1280], [0], [0], check=True)
 
 
 def test_lowest_index_violation_wins_in_decode_and_validate():
@@ -119,23 +115,16 @@ def test_lowest_index_violation_wins_in_decode_and_validate():
     blob = header(1280, 720) + b"".join(record(ti, xi, 0, 0) for ti, xi in zip(t, x))
     with pytest.raises(OutOfBounds, match="index 1"):
         decode_stream(blob)
-    rep = validate(EventStream(HD, t, x, [0] * 4, [0] * 4, check=False))
-    assert rep.violation.startswith("OutOfBounds") and "index 1" in rep.violation
+    with pytest.raises(OutOfBounds, match="index 1"):
+        EventStream(HD, t, x, [0] * 4, [0] * 4, check=True)
 
 
 def test_polarity_above_one_is_out_of_bounds_in_decode_and_validate():
     geom = SensorGeometry(16, 16)
     with pytest.raises(OutOfBounds, match="index 1: .* p=2"):
         decode_stream(header(16, 16) + record(1, 3, 4, 1) + record(2, 3, 4, 2))
-    rep = validate(EventStream(geom, [1, 2], [3, 3], [4, 4], [1, 2], check=False))
-    assert rep.violation.startswith("OutOfBounds") and "index 1" in rep.violation
-
-
-def test_decode_output_always_validates():
-    # validation soundness: anything decode accepts, validate accepts
-    for seed in range(5):
-        s = random_stream(HD, 10_000, seed)
-        assert validate(decode_stream(encode_stream(s))).ok
+    with pytest.raises(OutOfBounds, match="index 1: .* p=2"):
+        EventStream(geom, [1, 2], [3, 3], [4, 4], [1, 2], check=True)
 
 
 def test_slice_half_open_boundaries():

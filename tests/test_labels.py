@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from evflow.labels import (
     Detection,
     Keyframe,
     Track,
-    average_precision,
     densify_tracks,
     evaluate_detections,
     interpolate_track,
@@ -22,6 +22,7 @@ from evflow.labels import (
     write_detections_csv,
     write_labels_csv,
 )
+from evflow import labels as labels_mod
 from evflow.labels import _match_all
 
 
@@ -211,6 +212,37 @@ def test_match_all_equals_per_pair_oracle(dets, gts, thresh):
     assert _match_all(dets, gts, thresh) == oracle_match_all(dets, gts, thresh)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_match_all_in_small_blocks_equals_per_pair_oracle(monkeypatch, block):
+    # blocks that split one detection's pairs, and frames of 0..6 ground truths
+    monkeypatch.setattr(labels_mod, "_BLOCK_PAIRS", block)
+    rng = np.random.default_rng(block)
+    for _ in range(50):
+        def box():
+            return (*rng.integers(0, 8, 2), *rng.integers(0, 6, 2))
+
+        gts = {f: [BBox(*box()) for _ in range(rng.integers(0, 7))] for f in range(3)}
+        dets = [det(int(rng.integers(0, 4)), *box(), float(rng.choice([0.5, 0.9])))
+                for _ in range(rng.integers(0, 9))]
+        assert _match_all(dets, gts, 0.5) == oracle_match_all(dets, gts, 0.5)
+
+
+def test_match_all_memory_is_bounded_by_blocks():
+    # 1,000 detections against 1,000 ground truths on one frame: 1M pairs
+    rng = np.random.default_rng(14)
+    dets = [det(0, *rng.uniform(0, 500, 2), *rng.uniform(5, 50, 2), float(rng.uniform()))
+            for _ in range(1000)]
+    gts = {0: [BBox(*rng.uniform(0, 500, 2), *rng.uniform(5, 50, 2)) for _ in range(1000)]}
+    tracemalloc.start()
+    try:
+        flags, n_gt = _match_all(dets, gts, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(flags), n_gt) == (1000, 1000) and any(flags)
+    assert peak < 16 * 2**20
+
+
 def test_match_validates_threshold():
     with pytest.raises(ValueError):
         evaluate_detections([], {0: [BBox(0, 0, 1, 1)]}, 0.0)
@@ -241,17 +273,17 @@ def ap_oracle(flags, n_gt):
 def test_ap_perfect_detector():
     gts = {k: [BBox(10 * k, 5, 8, 8)] for k in range(10)}
     dets = [det(k, 10 * k, 5, 8, 8, 0.9) for k in range(10)]
-    assert average_precision(dets, gts, 0.5) == 1.0
+    assert evaluate_detections(dets, gts, 0.5).ap == 1.0
 
 
 def test_ap_no_detections_is_zero():
     gts = {0: [BBox(0, 0, 5, 5)]}
-    assert average_precision([], gts, 0.5) == 0.0
+    assert evaluate_detections([], gts, 0.5).ap == 0.0
 
 
 def test_ap_requires_ground_truth():
     with pytest.raises(NoGroundTruth):
-        average_precision([det(0, 0, 0, 5, 5, 0.5)], {}, 0.5)
+        evaluate_detections([det(0, 0, 0, 5, 5, 0.5)], {}, 0.5)
 
 
 def test_ap_worked_three_detection_example():
@@ -262,7 +294,7 @@ def test_ap_worked_three_detection_example():
         det(2, 0, 0, 10, 10, 0.8),    # FP (no gt on frame 2)
         det(1, 0, 0, 10, 10, 0.7),    # TP
     ]
-    ap = average_precision(dets, gts, 0.5)
+    ap = evaluate_detections(dets, gts, 0.5).ap
     assert ap == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3), abs=1e-12)
     assert ap == pytest.approx(ap_oracle([True, False, True], 2), abs=1e-12)
     assert ap == pytest.approx(0.8333333, abs=1e-6)
@@ -291,7 +323,7 @@ def test_ap_matches_oracle_on_random_rankings():
         while gt_i < n_gt:
             gts[gt_i] = [BBox(50, 50, 5, 5)]
             gt_i += 1
-        ap = average_precision(dets, gts, 0.5)
+        ap = evaluate_detections(dets, gts, 0.5).ap
         assert ap == pytest.approx(ap_oracle(flags, n_gt), abs=1e-12)
 
 

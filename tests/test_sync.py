@@ -9,6 +9,7 @@ from evflow.errors import InsufficientOverlap, ShapeMismatch, ZeroVariance
 from evflow.events import EventStream, SensorGeometry
 from evflow.sync import (
     GrayFrameSequence,
+    align,
     event_activity_sequence,
     find_offset,
     gray_activity_sequence,
@@ -213,23 +214,52 @@ def test_find_offset_rejects_shape_mismatch():
         find_offset([np.zeros((4, 4))], [np.zeros((5, 4))], 0)
 
 
-def test_cross_modality_offset_recovery():
-    # events and gray renderings of the same moving disc, rgb delayed 5 frames
+def delayed_pair(delay):
+    """Events and 60 gray renderings of the same moving disc, the gray frames
+    delayed by delay frames."""
     geom = SensorGeometry(320, 240)
     P = 33_333
     n = 60
-    delay = 5
     traj = DiscTrajectory((60.0, 90.0), (75.0, 15.0), 15.0, n * P * 1e-6, 500.0)
     s = generate_disc_events(traj, geom, seed=20)
-    ev_act = event_activity_sequence(s, P, n)
     gray = render_gray_frames(traj, geom, P, n)
     delayed = [gray[0]] * delay + gray[:-delay]
-    seq = GrayFrameSequence(geom.width, geom.height, P, tuple(delayed))
+    return s, GrayFrameSequence(geom.width, geom.height, P, tuple(delayed))
+
+
+def test_cross_modality_offset_recovery():
+    delay = 5
+    s, seq = delayed_pair(delay)
+    ev_act = event_activity_sequence(s, seq.frame_period, 60)
     rgb_act = gray_activity_sequence(seq)
     res = find_offset(
         to_common_raster(ev_act[: len(rgb_act)]), to_common_raster(rgb_act), 8
     )
     assert abs(res.best_offset - delay) <= 1
+
+
+def test_align_equals_the_four_step_chain():
+    s, seq = delayed_pair(4)
+    rgb_act = gray_activity_sequence(seq)
+    ev_act = event_activity_sequence(s, seq.frame_period, len(rgb_act))
+    want = find_offset(to_common_raster(ev_act), to_common_raster(rgb_act), 8)
+    got = align(s, seq, 8)
+    assert got.best_offset == want.best_offset and abs(got.best_offset - 4) <= 1
+    assert got.best_score == want.best_score
+    assert got.score_curve == want.score_curve
+
+
+def test_align_on_one_frame_is_insufficient_overlap():
+    s = EventStream(SensorGeometry(64, 48), [5, 40_000], [1, 2], [3, 4], [1, 0])
+    seq = GrayFrameSequence(64, 48, 33_333, (np.zeros((48, 64), dtype=np.uint8),))
+    with pytest.raises(InsufficientOverlap):
+        align(s, seq, 0)
+
+
+@pytest.mark.parametrize("n_ev,n_rgb,max_offset", [(0, 0, 2), (1, 0, 0), (0, 1, 0)])
+def test_find_offset_on_an_empty_sequence_is_insufficient_overlap(n_ev, n_rgb, max_offset):
+    with pytest.raises(InsufficientOverlap, match="no frame pairs"):
+        find_offset(random_sequence(17, n_ev), random_sequence(18, n_rgb), max_offset)
 
 
 def test_event_activity_sequence_builds_only_requested_windows():

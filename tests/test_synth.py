@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evflow.errors import DegenerateTrajectory
-from evflow.events import SensorGeometry, slice_interval, validate
+from evflow.events import EventStream, SensorGeometry, slice_interval
 from evflow.labels import interpolate_track
 from evflow.synth import (
     DiscTrajectory,
@@ -37,7 +37,7 @@ def test_different_seed_different_stream():
 def test_generated_stream_validates():
     for seed in range(4):
         s = generate_disc_events(moving_disc(), GEOM, seed)
-        assert validate(s).ok
+        assert EventStream(GEOM, s.t, s.x, s.y, s.p, check=True) == s
 
 
 def test_rightward_motion_separates_polarity_means():
