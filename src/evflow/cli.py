@@ -89,15 +89,17 @@ def _cmd_synth(args) -> int:
     values = {**defaults, **config_mod.parse_kv(_read(args.config).decode())}
     traj, geom = synth_mod.trajectory_from_config(values)
     seed = args.seed if args.seed is not None else config_mod.numbers(values, "seed", 1, int)[0]
+    period = config_mod.numbers(values, "frame_period_us", 1, int)[0]
     if seed < 0:
         raise ConfigInvalid(f"seed must be non-negative, got {seed}")
+    if period <= 0:
+        raise ConfigInvalid(f"frame_period_us must be positive, got {period}")
+    track = synth_mod.ground_truth_boxes(traj, period, geom) if args.truth else None
     stream = synth_mod.generate_disc_events(traj, geom, seed)
     with open(args.out, "wb") as fh:
         fh.write(encode_stream(stream))
     print(f"wrote {len(stream)} events to {args.out}")
     if args.truth:
-        period = config_mod.numbers(values, "frame_period_us", 1, int)[0]
-        track = synth_mod.ground_truth_boxes(traj, period, geom)
         labels_mod.write_labels_csv([track], args.truth)
         print(f"wrote {len(track.keyframes)} ground-truth boxes to {args.truth}")
     return 0
@@ -276,6 +278,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bench":  # usage errors across flags, which argparse cannot see
+        sizes = [b for b, _, _ in args.trace or ()]
+        twice = [b for i, b in enumerate(sizes) if b in sizes[:i]]
+        if twice:
+            parser.error(f"argument --trace: batch size {twice[0]} is traced more than once")
+        if args.window and not sizes:
+            parser.error("argument --window: needs a --trace to integrate")
     try:
         return args.fn(args)
     # UnicodeDecodeError: a text input file that is not UTF-8; MemoryError: an

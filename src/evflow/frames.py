@@ -9,10 +9,11 @@ One cutter covers the window grid [k*T, (k+1)*T): it checks the grid, finds
 every edge with one search, then yields each window's event runs lazily to
 three consumers. window_frames turns them into full-resolution frames
 (_scatter) or downscaled ones (_shrink); the pipeline and the CLI read
-those. window_activity turns them into uint16 pos + neg grids, which sync
-reads; it builds no frame. Each frame records its window's event count in
-`events`; a frame read back from PFR1 has None there, since the dump does
-not store it.
+those. window_activity turns them into uint16 pos + neg grids and builds
+no frame; sync.align streams them into its rasters one at a time, and
+sync.event_activity_sequence is their list form for outside callers. Each
+frame records its window's event count in `events`; a frame read back from
+PFR1 has None there, since the dump does not store it.
 
 A window's cost follows its events: np.unique sorts their polarity-extended
 cell indices (y*W + x, plus W*H for positive events; uint32, or uint64 when

@@ -7,18 +7,20 @@ frames.window_activity builds straight from each window's event runs with
 no polarity frame, and absolute consecutive-frame differences on the other.
 Both are then resampled onto a small common raster by frames.area_sum,
 which crops each grid to its box of nonzero cells first: both signals are
-mostly zero, and a zero cell changes no raster cell. The integer frame
-offset maximizing the mean zero-mean normalized cross-correlation is
-reported, together with the whole score curve. Each raster is standardised
-once, so one matrix product scores every event/frame pair and offset d is
-the mean of that matrix's d-th diagonal.
+mostly zero, and a zero cell changes no raster cell. align streams the
+event grids, so one full-resolution event grid is alive at a time;
+event_activity_sequence is their list form for outside callers. The
+integer frame offset maximizing the mean zero-mean normalized
+cross-correlation is reported, together with the whole score curve. Each
+raster is standardised once, so one matrix product scores every
+event/frame pair and offset d is the mean of that matrix's d-th diagonal.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -134,14 +136,10 @@ def find_offset(
     return OffsetResult(best_d, best_s, tuple(curve))
 
 
-def event_activity_sequence(
-    s: EventStream, frame_period: int, n_frames: int | None = None
-) -> List[np.ndarray]:
+def event_activity_sequence(s: EventStream, frame_period: int, n_frames: int) -> List[np.ndarray]:
     """Per-window (H, W) uint16 pos + neg count grids of windows
-    0..n_frames-1 (default: through the last event's window), built from
-    each window's event runs by frames.window_activity."""
-    last = None if n_frames is None else n_frames - 1
-    return list(window_activity(s, frame_period, 0, last))
+    0..n_frames-1: frames.window_activity as a list."""
+    return list(window_activity(s, frame_period, 0, n_frames - 1))
 
 
 def gray_activity_sequence(seq: GrayFrameSequence) -> List[np.ndarray]:
@@ -152,10 +150,11 @@ def gray_activity_sequence(seq: GrayFrameSequence) -> List[np.ndarray]:
 
 
 def to_common_raster(
-    grids: Sequence[np.ndarray], raster: Tuple[int, int] = COMMON_RASTER
+    grids: Iterable[np.ndarray], raster: Tuple[int, int] = COMMON_RASTER
 ) -> List[np.ndarray]:
     """Area-average every grid onto (width, height) = raster as float64 S / D,
-    from area_sum's integer band weights (S exact for an integer grid)."""
+    from area_sum's integer band weights (S exact for an integer grid). Grids
+    are taken one at a time, so a generator's grid is freed once resampled."""
     w, h = raster
     return [s / d for s, d in (area_sum(g, w, h) for g in grids)]
 
@@ -163,8 +162,9 @@ def to_common_raster(
 def align(s: EventStream, seq: GrayFrameSequence, max_abs_offset: int) -> OffsetResult:
     """Offset of seq's frames against the stream, by find_offset over the
     common rasters of the gray activity and of the event activity of the
-    windows of seq.frame_period that the gray grids cover. A positive result
-    means the frames lag the events."""
+    windows of seq.frame_period that the gray grids cover. The event grids
+    are streamed: each is resampled and freed before the next window is cut.
+    A positive result means the frames lag the events."""
     rgb = gray_activity_sequence(seq)
-    ev = event_activity_sequence(s, seq.frame_period, len(rgb))
-    return find_offset(to_common_raster(ev), to_common_raster(rgb), max_abs_offset)
+    ev = to_common_raster(window_activity(s, seq.frame_period, 0, len(rgb) - 1))
+    return find_offset(ev, to_common_raster(rgb), max_abs_offset)

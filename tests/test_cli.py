@@ -207,6 +207,20 @@ def test_bench_bad_row_exits_1_naming_its_line(tmp_path, capsys, table, trace, l
     assert msg.startswith(f"error: BadRow: line {line}: ")
 
 
+@pytest.mark.parametrize("flags,flag", [
+    (["--trace", "1=p1.csv:10", "--trace", "1=p2.csv:10"], "--trace"),
+    (["--trace", "1=p.csv:10", "--trace", "4=p.csv:10", "--trace", "1=p.csv:5"], "--trace"),
+    (["--window", "0:0.5"], "--window"),
+], ids=["repeated_batch", "repeated_batch_later", "window_without_trace"])
+def test_bench_flags_that_would_drop_trace_data_are_usage_errors(capsys, flags, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--latency-table", "t.csv", *flags])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip().splitlines()[-1].startswith(f"evflow: error: argument {flag}: ")
+
+
 def strict_json(text):
     def reject(constant):
         raise ValueError(f"non-finite JSON number {constant}")
@@ -506,6 +520,22 @@ def test_synth_malformed_config_exits_1(tmp_path, capsys, line, bad, kind):
     assert code == 1
     assert err.startswith(f"error: {kind}:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("period,msg", [
+    ("0", "ConfigInvalid: frame_period_us must be positive, got 0"),
+    ("-5", "ConfigInvalid: frame_period_us must be positive, got -5"),
+    # no window midpoint falls inside the 1 s trajectory
+    ("2000001", "DegenerateTrajectory: disc bounding box never overlaps the sensor"),
+], ids=["zero", "negative", "no_window_midpoint"])
+def test_synth_bad_truth_period_exits_1_before_writing(tmp_path, capsys, period, msg):
+    cfg = tmp_path / "traj.cfg"
+    cfg.write_text(TRAJ_CFG.format(dur=1.0).replace("33333", period))
+    ev, truth = tmp_path / "rec.evb1", tmp_path / "t.csv"
+    code, out, err = run_cli(capsys, "synth", "--config", str(cfg),
+                             "--out", str(ev), "--truth", str(truth))
+    assert (code, out, err) == (1, "", f"error: {msg}\n")
+    assert not ev.exists() and not truth.exists()
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

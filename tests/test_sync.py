@@ -249,6 +249,26 @@ def test_align_equals_the_four_step_chain():
     assert got.score_curve == want.score_curve
 
 
+def test_align_holds_one_full_resolution_event_grid_at_a_time():
+    # 30 windows at 1280x720: their uint16 activity grids are 53 MB together.
+    # The 60 common rasters and find_offset's standardised copies of them are
+    # about 54 MB; holding every event grid as well peaked at 107 MB.
+    P, n = 33_333, 31
+    traj = DiscTrajectory((200.0, 300.0), (600.0, 100.0), 40.0, n * P * 1e-6, 50.0)
+    s = generate_disc_events(traj, SensorGeometry(1280, 720), seed=3)
+    small = DiscTrajectory((50.0, 75.0), (150.0, 25.0), 10.0, n * P * 1e-6, 50.0)
+    gray = render_gray_frames(small, SensorGeometry(320, 180), P, n)
+    seq = GrayFrameSequence(320, 180, P, tuple(gray))
+    tracemalloc.start()
+    try:
+        res = align(s, seq, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(res.best_offset) <= 1
+    assert peak < 80 * 2**20
+
+
 def test_align_on_one_frame_is_insufficient_overlap():
     s = EventStream(SensorGeometry(64, 48), [5, 40_000], [1, 2], [3, 4], [1, 0])
     seq = GrayFrameSequence(64, 48, 33_333, (np.zeros((48, 64), dtype=np.uint8),))
