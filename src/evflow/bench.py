@@ -199,24 +199,19 @@ class BenchReport:
         return json.dumps({"rows": [asdict(r) for r in self.rows]}, indent=2, allow_nan=False)
 
     def format_table(self) -> str:
-        headers = ["B", "worst_ms", "fps", "feasible", "mJ/frame", "mean_W"]
-        body = []
-        for r in self.rows:
-            body.append(
-                [
-                    str(r.batch_size),
-                    f"{r.worst_case_ms:.1f}",
-                    f"{r.throughput_fps:.1f}",
-                    "yes" if r.realtime_feasible else "no",
-                    "-" if r.energy_mj_per_frame is None else f"{r.energy_mj_per_frame:.1f}",
-                    "-" if r.mean_power_w is None else f"{r.mean_power_w:.2f}",
-                ]
-            )
-        widths = [max(len(h), *(len(row[i]) for row in body)) for i, h in enumerate(headers)]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-        for row in body:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
+        table = [["B", "worst_ms", "fps", "feasible", "mJ/frame", "mean_W"]] + [
+            [
+                str(r.batch_size),
+                f"{r.worst_case_ms:.1f}",
+                f"{r.throughput_fps:.1f}",
+                "yes" if r.realtime_feasible else "no",
+                "-" if r.energy_mj_per_frame is None else f"{r.energy_mj_per_frame:.1f}",
+                "-" if r.mean_power_w is None else f"{r.mean_power_w:.2f}",
+            ]
+            for r in self.rows
+        ]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in table)
 
 
 def sweep_batches(

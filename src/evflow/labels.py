@@ -229,9 +229,8 @@ def evaluate_detections(
     if not flags:
         return EvalReport(0.0, 0, 0, n_gt, n_gt, iou_thresh)
     tp = np.cumsum(flags)
-    fp = np.cumsum([not f for f in flags])
     recall = tp / n_gt
-    precision = tp / (tp + fp)
+    precision = tp / np.arange(1, len(flags) + 1)
     # precision envelope: best precision at any recall >= r
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     prev_r = np.concatenate([[0.0], recall[:-1]])

@@ -27,6 +27,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -242,25 +243,17 @@ def run_pipeline(
             yield frame
             t0 = time.perf_counter()
 
-    def consume_batch(batch: List[PolarityFrame]) -> None:
-        t0 = time.perf_counter()
-        per_frame = detect(batch)
-        det_ms.append((time.perf_counter() - t0) * 1e3)
-        metrics.frames_inferred += len(batch)
-        for dets in per_frame:
-            detections.extend(dets)
-
     frames = produce() if threads == 1 else _read_ahead(produce(), capacity)
     with closing(frames):
-        batch: List[PolarityFrame] = []
-        for frame in frames:
-            metrics.frames_produced += 1
-            batch.append(frame)
-            if len(batch) == cfg.batch_size:
-                consume_batch(batch)
-                batch = []
-        if batch:
-            consume_batch(batch)
+        for batch in iter(lambda: list(islice(frames, cfg.batch_size)), []):
+            metrics.frames_produced += len(batch)
+            t0 = time.perf_counter()
+            per_frame = detect(batch)
+            det_ms.append((time.perf_counter() - t0) * 1e3)
+            metrics.frames_inferred += len(batch)
+            for dets in per_frame:
+                detections.extend(dets)
+            del batch  # free its frames before the next batch is cut
 
     wall = time.perf_counter() - t_begin
     metrics.stage_latency_ms = {

@@ -16,6 +16,10 @@ boundary at its own timestamp, which is what makes the generator usable
 as an oracle for accumulation, synchronization, and end-to-end detection
 tests: the per-frame ground-truth box is just the disc's bounding square
 at the frame midpoint.
+
+The degeneracy check takes the disc's least distance to the sensor at one
+of at most ten candidate times, and the ground truth visits only the frames
+the disc can overlap, so its cost follows the keyframes, not the duration.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from .labels import BBox, Keyframe, Track
 
 BAND_HALF_WIDTH_PX = 0.75
 JITTER_US = 200
+# the largest mean numpy's Poisson sampler accepts (POISSON_LAM_MAX in
+# numpy/random/_common.pyx); a pixel's mean count is at most density * duration
+POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,8 @@ class DiscTrajectory:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.event_rate_density <= 0:
             raise ValueError(f"event_rate_density must be positive, got {self.event_rate_density}")
+        if self.event_rate_density * self.duration >= POISSON_LAM_MAX:
+            raise ValueError(f"event_rate_density * duration must be below {POISSON_LAM_MAX:.4g}")
 
     def center_at(self, t_s: float) -> Tuple[float, float]:
         return (
@@ -83,19 +92,18 @@ def _rect_distance(cx: float, cy: float, geom: SensorGeometry) -> float:
 
 
 def _min_rect_distance(traj: DiscTrajectory, geom: SensorGeometry) -> float:
-    # distance from the moving center to the (convex) pixel rectangle is
-    # convex in t, so ternary search is exact
-    lo, hi = 0.0, traj.duration
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        d1 = _rect_distance(*traj.center_at(m1), geom)
-        d2 = _rect_distance(*traj.center_at(m2), geom)
-        if d1 <= d2:
-            hi = m2
-        else:
-            lo = m1
-    return _rect_distance(*traj.center_at(0.5 * (lo + hi)), geom)
+    # the squared distance from the center to the pixel-center rectangle is
+    # convex in t and quadratic between the times the center crosses a
+    # rectangle edge, so its minimum over [0, duration] is at an end, at an
+    # edge crossing or at the closest approach to a corner
+    (cx, cy), (vx, vy) = traj.center_start, traj.velocity
+    xs, ys = (0.0, geom.width - 1.0), (0.0, geom.height - 1.0)
+    speed_sq = vx * vx + vy * vy
+    times = [0.0, traj.duration]
+    times += [(e - c) / v for c, v, edges in ((cx, vx, xs), (cy, vy, ys)) if v for e in edges]
+    times += [((x - cx) * vx + (y - cy) * vy) / speed_sq for x in xs for y in ys if speed_sq]
+    clipped = (min(max(t, 0.0), traj.duration) for t in times)
+    return min(_rect_distance(*traj.center_at(t), geom) for t in clipped)
 
 
 def generate_disc_events(
@@ -122,8 +130,6 @@ def generate_disc_events(
     x_hi = min(geom.width - 1, int(math.ceil(max(cx0, cx1) + pad)))
     y_lo = max(0, int(math.floor(min(cy0, cy1) - pad)))
     y_hi = min(geom.height - 1, int(math.ceil(max(cy0, cy1) + pad)))
-    if x_lo > x_hi or y_lo > y_hi:
-        return EventStream.empty(geom)
 
     xs, ys = np.meshgrid(
         np.arange(x_lo, x_hi + 1, dtype=np.float64),
@@ -142,19 +148,14 @@ def generate_disc_events(
 
     disc_out = b * b - speed_sq * (a2 - r_out * r_out)
     hit = disc_out > 0.0
-    if not np.any(hit):
-        return EventStream.empty(geom)
     xs, ys, b, a2 = xs[hit], ys[hit], b[hit], a2[hit]
     sq_out = np.sqrt(disc_out[hit])
     t_outer_in = (b - sq_out) / speed_sq    # first touch of the outer band edge
     t_outer_out = (b + sq_out) / speed_sq   # last touch
-    t_closest = b / speed_sq
-
-    disc_in = b * b - speed_sq * (a2 - r_in * r_in)
-    deep = disc_in > 0.0
-    sq_in = np.sqrt(np.where(deep, disc_in, 0.0))
-    t_inner_in = np.where(deep, (b - sq_in) / speed_sq, t_closest)
-    t_inner_out = np.where(deep, (b + sq_in) / speed_sq, t_closest)
+    # where the inner band edge never reaches a pixel, both are b / speed_sq
+    sq_in = np.sqrt(np.maximum(b * b - speed_sq * (a2 - r_in * r_in), 0.0))
+    t_inner_in = (b - sq_in) / speed_sq
+    t_inner_out = (b + sq_in) / speed_sq
 
     parts = []
     for lo_t, hi_t, pol in (
@@ -166,26 +167,13 @@ def generate_disc_events(
         dwell = np.maximum(hi_c - lo_c, 0.0)
         counts = rng.poisson(traj.event_rate_density * dwell)
         idx = np.repeat(np.arange(dwell.size), counts)
-        if idx.size == 0:
-            continue
         times = lo_c[idx] + rng.random(idx.size) * dwell[idx]
         times += rng.uniform(-JITTER_US * 1e-6, JITTER_US * 1e-6, idx.size)
         t_us = np.clip(np.round(times * 1e6), 0, dur * 1e6 - 1).astype(np.uint64)
-        parts.append(
-            (
-                t_us,
-                xs[idx].astype(np.uint16),
-                ys[idx].astype(np.uint16),
-                np.full(idx.size, pol, dtype=np.uint8),
-            )
-        )
+        parts.append((t_us, idx, np.full(idx.size, pol, dtype=np.uint8)))
 
-    if not parts:
-        return EventStream.empty(geom)
-    t = np.concatenate([p[0] for p in parts])
-    x = np.concatenate([p[1] for p in parts])
-    y = np.concatenate([p[2] for p in parts])
-    p = np.concatenate([p[3] for p in parts])
+    t, idx, p = map(np.concatenate, zip(*parts))
+    x, y = xs[idx].astype(np.uint16), ys[idx].astype(np.uint16)
     order = np.lexsort((x, y, p, t))
     return EventStream(geom, t[order], x[order], y[order], p[order], check=False)
 
@@ -201,18 +189,28 @@ def ground_truth_boxes(traj: DiscTrajectory, frame_period: int, geom: SensorGeom
     if frame_period <= 0:
         raise ValueError(f"frame_period must be positive, got {frame_period}")
     dur_us = traj.duration * 1e6
+    # the box has area on an axis while -r < c0 + v*t < side + r; the frames
+    # whose midpoint lies in both intervals, widened by one at each end
+    # against rounding, are the only ones to check
+    lo, hi = 0.0, traj.duration
+    for c, v, side in zip(traj.center_start, traj.velocity, (geom.width, geom.height)):
+        if v:
+            a, b = sorted(((-traj.radius - c) / v, (side + traj.radius - c) / v))
+            lo, hi = max(lo, a), min(hi, b)
+        elif not -traj.radius < c < side + traj.radius:
+            hi = 0.0
+    lo, hi = min(lo, traj.duration), max(hi, 0.0)  # an empty intersection can overshoot
     kfs: List[Keyframe] = []
-    k = 0
-    while (k + 0.5) * frame_period < dur_us:
+    for k in range(max(0, math.floor(lo * 1e6 / frame_period - 0.5)),
+                   math.ceil(hi * 1e6 / frame_period - 0.5) + 1):
         t_mid = (k + 0.5) * frame_period * 1e-6
         cx, cy = traj.center_at(t_mid)
         x0 = max(0.0, cx - traj.radius)
         y0 = max(0.0, cy - traj.radius)
         x1 = min(float(geom.width), cx + traj.radius)
         y1 = min(float(geom.height), cy + traj.radius)
-        if x1 > x0 and y1 > y0:
+        if (k + 0.5) * frame_period < dur_us and x1 > x0 and y1 > y0:
             kfs.append(Keyframe(k, BBox(x0, y0, x1 - x0, y1 - y0)))
-        k += 1
     if not kfs:
         raise DegenerateTrajectory("disc bounding box never overlaps the sensor")
     return Track("disc", tuple(kfs))

@@ -511,6 +511,8 @@ def test_transfer_labels_malformed_calibration_exits_1(tmp_path, capsys):
     ("seed = 5", "seed = -1", "ConfigInvalid"),
     ("sensor = 640 480", "sensor = 70000 480", "ConfigInvalid"),
     ("radius = 14", "radius = \xff", "UnicodeDecodeError"),  # not UTF-8
+    # beyond the largest mean numpy's Poisson sampler accepts
+    ("event_rate_density = 700", "event_rate_density = 1e300", "ConfigInvalid"),
 ])
 def test_synth_malformed_config_exits_1(tmp_path, capsys, line, bad, kind):
     cfg = tmp_path / "traj.cfg"
@@ -520,6 +522,7 @@ def test_synth_malformed_config_exits_1(tmp_path, capsys, line, bad, kind):
     assert code == 1
     assert err.startswith(f"error: {kind}:")
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "rec.evb1").exists()
 
 
 @pytest.mark.parametrize("period,msg", [

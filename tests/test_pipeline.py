@@ -1,5 +1,6 @@
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy import ndimage
 from evflow.errors import ConfigInvalid, MissingField, UpscaleUnsupported
 from evflow.events import EventStream, SensorGeometry
 from evflow import frames as frames_mod
+from evflow import pipeline as pipeline_mod
 from evflow.frames import PolarityFrame, downscale, window_frames
 from evflow.labels import (
     BBox,
@@ -316,6 +318,43 @@ def test_pipeline_slow_detector_loses_nothing(batch, capacity):
     assert res.metrics.frames_dropped == 0
     assert res.metrics.frames_inferred == res.metrics.frames_produced == n_windows
     assert detection_keys(res.detections) == detection_keys(ref.detections)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pipeline_batches_are_full_but_the_last(threads):
+    stream, _, n_windows = disc_recording(seconds=10 * WINDOW * 1e-6)
+    assert n_windows == 10
+    cfg = PipelineConfig(batch_size=4)
+    for events, expected in ((stream, [4, 4, 2]), (EventStream.empty(GEOM), [])):
+        sizes = []
+
+        def record(frames):
+            sizes.append(len(frames))
+            return [[] for _ in frames]
+
+        res = run_pipeline(events, cfg, detector_fn=record, threads=threads)
+        assert sizes == expected
+        assert res.metrics.frames_produced == res.metrics.frames_inferred == sum(expected)
+
+
+def test_pipeline_frees_each_batch_before_cutting_the_next(monkeypatch):
+    # a batch kept alive while the next one is cut costs batch_size frames of
+    # memory; only the newest frame, which the producer still names, may live
+    stream, _, _ = disc_recording(seconds=10 * WINDOW * 1e-6)
+    inferred = []
+
+    def detect(frames):
+        inferred.extend(weakref.ref(f) for f in frames)
+        return [[] for _ in frames]
+
+    def checked_frames(*args, **kwargs):
+        for frame in window_frames(*args, **kwargs):
+            assert sum(ref() is not None for ref in inferred) <= 1
+            yield frame
+
+    monkeypatch.setattr(pipeline_mod, "window_frames", checked_frames)
+    res = run_pipeline(stream, PipelineConfig(batch_size=4), detector_fn=detect, threads=1)
+    assert res.metrics.frames_inferred == len(inferred) == 10
 
 
 def accumulate_workers():
