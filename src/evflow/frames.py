@@ -15,16 +15,16 @@ sync.event_activity_sequence is their list form for outside callers. Each
 frame records its window's event count in `events`; a frame read back from
 PFR1 has None there, since the dump does not store it.
 
-A window's cost follows its events: np.unique sorts their polarity-extended
-cell indices (y*W + x, plus W*H for positive events; uint32, or uint64 when
-2*W*H > 2^32) into runs of (cell, count saturated at 255). _scatter writes
-the runs into one zeroed 2*W*H array, so an empty window costs one calloc
-that nothing reads (the detector skips a frame whose `events` is 0).
-_shrink never builds that array: the runs, already row-major sorted, are
-one CSR matrix of shape (2H, W), its row pointers a search of the row
-starts, resampled once by area_sum to (2h, w) and split into channels. The
-activity consumer splits the runs at W*H with one search and writes both
-halves into one zeroed H*W uint16 grid.
+A window's cost follows its events: their polarity-extended cell indices
+((p*H + y)*W + x; uint32, or uint64 when 2*W*H > 2^32) are sorted in place
+and cut where the cell changes into runs of (cell, count saturated at 255).
+_scatter writes the runs into one zeroed 2*W*H array, so an empty window
+costs one calloc that nothing reads (the detector skips a frame whose
+`events` is 0). _shrink never builds that array: the runs, already
+row-major sorted, are one CSR matrix of shape (2H, W), its row pointers a
+search of the row starts, resampled once by area_sum to (2h, w) and split
+into channels. The activity consumer splits the runs at W*H with one search
+and writes both halves into one zeroed H*W uint16 grid.
 
 area_sum is the one resampler, for downscale, the runs path and sync. Output
 cell j of n_out overlaps input cell i of n_in by an integer count of 1/n_out
@@ -96,12 +96,17 @@ def _runs(s: EventStream, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
     The cells are uint32 unless 2*W*H > 2^32, where they are uint64."""
     w, h = s.width, s.height
     cell_t = np.uint32 if 2 * w * h <= 2**32 else np.uint64
-    flat = s.y[lo:hi].astype(cell_t)
+    flat = s.p[lo:hi].astype(cell_t)  # a copy, so the sort below leaves s alone
+    flat *= cell_t(h)
+    flat += s.y[lo:hi]
     flat *= cell_t(w)
     flat += s.x[lo:hi]
-    flat += s.p[lo:hi].astype(cell_t) * cell_t(w * h)
-    cell, n = np.unique(flat, return_counts=True)
-    return cell, np.minimum(n, SATURATION)
+    flat.sort()
+    start = np.empty(flat.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=start[1:])
+    starts = np.flatnonzero(start)
+    return flat[starts], np.minimum(np.diff(starts, append=flat.size), SATURATION)
 
 
 def _scatter(s: EventStream, runs, t0: int, duration: int, events: int) -> PolarityFrame:

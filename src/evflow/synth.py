@@ -59,6 +59,14 @@ class DiscTrajectory:
             raise ValueError(f"event_rate_density must be positive, got {self.event_rate_density}")
         if self.event_rate_density * self.duration >= POISSON_LAM_MAX:
             raise ValueError(f"event_rate_density * duration must be below {POISSON_LAM_MAX:.4g}")
+        # the generator squares (pixel - start) . velocity, with pixels below 2^16,
+        # and moves the center to start + velocity * duration; this keeps both finite
+        speed = math.hypot(*self.velocity)
+        reach = math.hypot(*self.center_start) + speed * self.duration + 2**17
+        if not speed * reach < 1e150:
+            raise ValueError(
+                f"|velocity| * center reach must be below 1e150, got {speed * reach:.4g}"
+            )
 
     def center_at(self, t_s: float) -> Tuple[float, float]:
         return (

@@ -525,6 +525,23 @@ def test_synth_malformed_config_exits_1(tmp_path, capsys, line, bad, kind):
     assert not (tmp_path / "rec.evb1").exists()
 
 
+@pytest.mark.parametrize("velocity,dur,density", [
+    ("1e200 1e200", "1", "700"),
+    ("1e153 0", "1", "700"),
+    ("1e10 0", "1e300", "1e-290"),  # slow, but the center's end position overflows
+])
+def test_synth_overflowing_trajectory_exits_1(tmp_path, capsys, velocity, dur, density):
+    cfg = tmp_path / "traj.cfg"
+    cfg.write_text(TRAJ_CFG.format(dur=dur).replace("70 80", "100 100")
+                   .replace("95 40", velocity).replace("= 700", f"= {density}"))
+    ev = tmp_path / "rec.evb1"
+    code, out, err = run_cli(capsys, "synth", "--config", str(cfg), "--out", str(ev))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ConfigInvalid: |velocity| * center reach must be below 1e150")
+    assert len(err.strip().splitlines()) == 1
+    assert not ev.exists()
+
+
 @pytest.mark.parametrize("period,msg", [
     ("0", "ConfigInvalid: frame_period_us must be positive, got 0"),
     ("-5", "ConfigInvalid: frame_period_us must be positive, got -5"),

@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -499,6 +500,34 @@ def test_window_activity_equals_pos_plus_neg_of_each_frame(data):
     T = data.draw(st.integers(500, 8_000))
     first, last = (data.draw(st.none() | st.integers(0, 41_000 // T)) for _ in range(2))
     assert_activity_of_frames(s, T, first, last)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_runs_equal_a_counter_and_leave_the_stream_alone(data):
+    # scattered events plus bursts past 255 on a few cells, shuffled, over a random slice
+    geom = SensorGeometry(data.draw(st.integers(1, 70)), data.draw(st.integers(1, 50)))
+    cell = st.tuples(st.integers(0, 1), st.integers(0, geom.height - 1),
+                     st.integers(0, geom.width - 1))
+    pyx = data.draw(st.lists(cell, min_size=1, max_size=300))
+    pyx += [c for c, n in data.draw(st.lists(st.tuples(cell, st.integers(1, 600)), max_size=3))
+            for _ in range(n)]
+    np.random.default_rng(data.draw(st.integers(0, 2**32))).shuffle(pyx)
+    p, y, x = zip(*pyx)
+    s = EventStream(geom, np.arange(len(pyx)), x, y, p)
+    columns = [c.copy() for c in (s.t, s.x, s.y, s.p)]
+    lo = data.draw(st.integers(0, len(pyx)))
+    hi = data.draw(st.integers(lo, len(pyx)))
+    cell_idx, n = _runs(s, lo, hi)
+    want = sorted(collections.Counter(pyx[lo:hi]).items())
+    assert cell_idx.dtype == np.uint32
+    assert np.all(cell_idx[1:] > cell_idx[:-1])
+    assert cell_idx.tolist() == [(p * geom.height + y) * geom.width + x for (p, y, x), _ in want]
+    assert n.tolist() == [min(k, 255) for _, k in want]
+    empty = _runs(s, lo, lo)
+    assert empty[0].dtype == np.uint32 and empty[0].size == empty[1].size == 0
+    for before, after in zip(columns, (s.t, s.x, s.y, s.p)):
+        assert np.array_equal(before, after)
 
 
 def test_runs_cell_index_does_not_wrap_on_huge_sensors():

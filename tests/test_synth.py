@@ -149,6 +149,19 @@ def test_trajectory_validation():
     DiscTrajectory((0, 0), (1, 1), 1.0, 1.0, 9.2e18)
     with pytest.raises(ValueError, match="event_rate_density"):
         DiscTrajectory((0, 0), (1, 1), 1.0, 2.0, 4.65e18)
+    # |v| * (|start| + |v| * duration + 2^17) below 1e150 keeps the generator finite
+    with pytest.raises(ValueError, match="center reach"):
+        DiscTrajectory((0, 0), (2e75, 0), 1.0, 1.0, 10.0)
+    with pytest.raises(ValueError, match="center reach"):
+        DiscTrajectory((1e148, 0), (200, 0), 1.0, 1.0, 10.0)
+
+
+def test_fastest_accepted_disc_generates_without_overflow():
+    # warnings are errors: an overflowing square would raise here
+    traj = DiscTrajectory((100.0, 0.0), (7e74, 0.0), 14.0, 1.0, 700.0)
+    assert len(generate_disc_events(traj, SensorGeometry(65535, 1), seed=0)) == 0
+    with pytest.raises(DegenerateTrajectory):  # gone before the first frame's midpoint
+        ground_truth_boxes(traj, 33_333, GEOM)
 
 
 def corner_pass(miss, r=10.0, speed=100.0, t_closest=0.5):
