@@ -49,36 +49,36 @@ _END = object()  # end of stream from the read-ahead worker
 DetectorFn = Callable[[Sequence[PolarityFrame]], List[List[Detection]]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     integration_window: int = DEFAULT_WINDOW_US  # microseconds
     batch_size: int = 1
     detector: str = STUB_DETECTOR             # "stub" or path to a detections CSV
     downscale_to: Optional[Tuple[int, int]] = None
-    # frames held between producer and detector, default 2 * batch_size;
+    # frames held between producer and detector, default (None) 2 * batch_size;
     # bounds memory only, since the producer waits once it is that far ahead
     queue_capacity: Optional[int] = None
     stub_min_area: int = 8                    # pixels^2
     stub_activity_thresh: int = 1             # counts
 
-    def validated_capacity(self) -> int:
-        cap = self.queue_capacity if self.queue_capacity is not None else 2 * self.batch_size
+    def __post_init__(self):
+        if self.queue_capacity is None:
+            object.__setattr__(self, "queue_capacity", 2 * self.batch_size)
         if self.integration_window <= 0:
             raise ConfigInvalid(f"integration_window must be positive, got {self.integration_window}")
-        if self.batch_size < 1:
-            raise ConfigInvalid(f"batch_size must be >= 1, got {self.batch_size}")
-        if cap < self.batch_size:
-            raise ConfigInvalid(f"queue_capacity {cap} < batch_size {self.batch_size}")
+        if not 1 <= self.batch_size < 2**63:
+            raise ConfigInvalid(f"batch_size must be >= 1 and < 2**63, got {self.batch_size}")
+        if not self.batch_size <= self.queue_capacity < 2**63:
+            raise ConfigInvalid(f"queue_capacity must be in [batch_size, 2**63), got {self.queue_capacity}")
         if self.downscale_to is not None and min(self.downscale_to) < 1:
             raise ConfigInvalid(f"downscale_to sides must be >= 1, got {self.downscale_to}")
         if self.stub_activity_thresh < 1:  # 0 would make every cell of every window a blob
             raise ConfigInvalid(f"stub_activity_thresh must be >= 1, got {self.stub_activity_thresh}")
-        return cap
 
 
 def pipeline_from_config(values: Dict[str, str]) -> PipelineConfig:
     """Read pipeline keys; every key is optional and falls back to defaults."""
-    cfg = PipelineConfig()
+    kw: dict = {}
     for key, attr in (
         ("integration_window_us", "integration_window"),
         ("batch_size", "batch_size"),
@@ -87,13 +87,12 @@ def pipeline_from_config(values: Dict[str, str]) -> PipelineConfig:
         ("stub_activity_thresh", "stub_activity_thresh"),
     ):
         if key in values:
-            setattr(cfg, attr, numbers(values, key, 1, int)[0])
+            kw[attr] = numbers(values, key, 1, int)[0]
     if "detector" in values:
-        cfg.detector = values["detector"]
+        kw["detector"] = values["detector"]
     if values.get("downscale_to", "none").lower() != "none":
-        cfg.downscale_to = tuple(numbers(values, "downscale_to", 2, int))
-    cfg.validated_capacity()
-    return cfg
+        kw["downscale_to"] = tuple(numbers(values, "downscale_to", 2, int))
+    return PipelineConfig(**kw)
 
 
 @dataclass
@@ -221,7 +220,6 @@ def run_pipeline(
     downscale_to is set). detector_fn overrides the configured detector
     (test hook).
     """
-    capacity = cfg.validated_capacity()
     threads = _resolve_threads(threads)
     if detector_fn is not None:
         detect = detector_fn
@@ -243,7 +241,10 @@ def run_pipeline(
             yield frame
             t0 = time.perf_counter()
 
-    frames = produce() if threads == 1 else _read_ahead(produce(), capacity)
+    # a read-ahead deeper than the default grid's windows and the end would hold idle futures
+    t, window = events.t, cfg.integration_window
+    windows = int(t[-1]) // window - int(t[0]) // window + 1 if len(t) else 0
+    frames = produce() if threads == 1 else _read_ahead(produce(), min(cfg.queue_capacity, windows + 1))
     with closing(frames):
         for batch in iter(lambda: list(islice(frames, cfg.batch_size)), []):
             metrics.frames_produced += len(batch)

@@ -450,6 +450,20 @@ def test_run_non_positive_downscale_exits_1(tmp_path, capsys, size):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("line", [f"batch_size = {10**19}", f"queue_capacity = {2**63}"])
+def test_run_oversized_integer_exits_1(tmp_path, capsys, monkeypatch, line, threads):
+    # past int64 a batch cannot be cut and a read-ahead cannot be bounded
+    monkeypatch.setenv("EVFLOW_THREADS", threads)
+    ev = synth_recording(tmp_path, capsys, 0.2)
+    pipe_cfg = tmp_path / "pipe.cfg"
+    pipe_cfg.write_text(line + "\n")
+    code, _, err = run_cli(capsys, "run", "--events", ev, "--config", str(pipe_cfg))
+    assert code == 1
+    assert err.startswith("error: ConfigInvalid: ")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_data_error_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.evb1"
     bad.write_bytes(b"JUNKJUNKJUNK")

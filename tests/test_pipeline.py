@@ -1,7 +1,8 @@
 import threading
 import time
+import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -474,14 +475,48 @@ def test_pipeline_env_var_selects_threading(monkeypatch):
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(ConfigInvalid):
-        run_pipeline(EventStream.empty(GEOM), PipelineConfig(batch_size=0), threads=1)
-    with pytest.raises(ConfigInvalid):
-        run_pipeline(EventStream.empty(GEOM), PipelineConfig(batch_size=4, queue_capacity=2),
-                     threads=1)
+    # every check runs when the config is built, so no caller can skip it
+    for kwargs in (
+        {"integration_window": 0},
+        {"batch_size": 0},
+        {"batch_size": 2**63},
+        {"batch_size": 2**62},  # its default capacity 2 * batch_size reaches 2**63
+        {"batch_size": 4, "queue_capacity": 2},
+        {"queue_capacity": 2**63},
+        {"stub_activity_thresh": 0},
+    ):
+        with pytest.raises(ConfigInvalid):
+            PipelineConfig(**kwargs)
     for size in ((0, 0), (32, -5)):
         with pytest.raises(ConfigInvalid, match="downscale_to"):
-            run_pipeline(EventStream.empty(GEOM), PipelineConfig(downscale_to=size), threads=1)
+            PipelineConfig(downscale_to=size)
+    top = PipelineConfig(batch_size=2**63 - 1, queue_capacity=2**63 - 1)
+    assert (top.batch_size, top.queue_capacity) == (2**63 - 1, 2**63 - 1)
+    cfg = PipelineConfig(batch_size=3)
+    assert cfg.queue_capacity == 6
+    with pytest.raises(FrozenInstanceError):
+        cfg.batch_size = 0
+    assert cfg == PipelineConfig(batch_size=3, queue_capacity=6)
+
+
+def test_read_ahead_is_bounded_by_the_window_count():
+    # 9 windows with a 3x3 blob each; a capacity far past the window count
+    # must not create a future per unit of capacity before the first frame
+    ks = np.repeat(np.arange(9), 9)
+    xs = np.tile(np.repeat(np.arange(3), 3), 9) + 2 * ks
+    ys = np.tile(np.tile(np.arange(3), 3), 9) + 10
+    stream = EventStream(SensorGeometry(32, 24), ks * WINDOW + 100, xs, ys, np.ones_like(ks))
+    cfg = PipelineConfig(queue_capacity=50_000)
+    ref = run_pipeline(stream, cfg, threads=1)
+    tracemalloc.start()
+    try:
+        res = run_pipeline(stream, cfg, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert detection_keys(res.detections) == detection_keys(ref.detections)
+    assert len(ref.detections) == res.metrics.frames_inferred == 9
+    assert peak < 8 * 2**20
 
 
 def test_pipeline_from_config_reads_every_key():
@@ -505,6 +540,9 @@ def test_pipeline_from_config_reads_every_key():
     {"downscale_to": "0 0"},
     {"downscale_to": "32 -5"},
     {"downscale_to": "1.5 2.7"},
+    {"integration_window_us": "0"},
+    {"batch_size": str(2**63)},
+    {"queue_capacity": str(2**63)},
 ])
 def test_pipeline_from_config_rejects_malformed_value(values):
     with pytest.raises(ConfigInvalid):
