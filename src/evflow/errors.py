@@ -40,7 +40,7 @@ class DegenerateTrajectory(EvflowError):
 # --- accumulation ---
 
 class InvalidWindow(EvflowError):
-    """Non-positive integration window."""
+    """Integration window outside 1..2^64-1 us, or a window grid too large to cut."""
 
 
 class UpscaleUnsupported(EvflowError):

@@ -5,15 +5,16 @@ uint8 channels (positive, negative), saturating at 255. A 1280x720 frame
 therefore occupies exactly 1280*720*2 bytes. Rendering paints positive
 activity white and negative activity blue on black.
 
-One cutter covers the window grid [k*T, (k+1)*T): it checks the grid, finds
-every edge with one search, then yields each window's event runs lazily to
-three consumers. window_frames turns them into full-resolution frames
+One cutter covers a range of the window grid [k*T, (k+1)*T): it checks the
+grid, finds every edge with one search, then yields each window's event
+runs lazily. window_frames cuts the stream's own windows (window_range:
+the first event's to the last event's) into full-resolution frames
 (_scatter) or downscaled ones (_shrink); the pipeline and the CLI read
-those. window_activity turns them into uint16 pos + neg grids and builds
-no frame; sync.align streams them into its rasters one at a time, and
-sync.event_activity_sequence is their list form for outside callers. Each
-frame records its window's event count in `events`; a frame read back from
-PFR1 has None there, since the dump does not store it.
+those. window_activity cuts windows 0..n-1 into uint16 pos + neg grids
+and builds no frame; sync.align streams them into its rasters one at a
+time, and sync.event_activity_sequence is their list form for outside
+callers. Each frame records its window's event count in `events`; a frame
+read back from PFR1 has None there, since the dump does not store it.
 
 A window's cost follows its events: their polarity-extended cell indices
 ((p*H + y)*W + x; uint32, or uint64 when 2*W*H > 2^32) are sorted in place
@@ -145,58 +146,54 @@ def _activity(s: EventStream, runs) -> np.ndarray:
     return grid.reshape(h, w)
 
 
+def _check_window(duration: int) -> None:
+    if not 0 < duration <= T_MAX:
+        raise InvalidWindow(f"integration window must be in 1..2^64-1 us, got {duration}")
+
+
 def accumulate(s: EventStream, t0: int, duration: int) -> PolarityFrame:
     """Count events with t0 <= t < t0 + duration into a PolarityFrame.
 
     Counting is order-independent and saturates each cell at 255.
     """
-    if not 0 < duration <= T_MAX:
-        raise InvalidWindow(f"integration window must be in 1..2^64-1 us, got {duration}")
+    _check_window(duration)
     window = slice_interval(s, t0, t0 + duration)
     return _scatter(window, _runs(window, 0, len(window)), t0, duration, len(window))
 
 
+def window_range(s: EventStream, duration: int) -> range:
+    """The stream's own grid: indices k of the windows [k*T, (k+1)*T) from the
+    first event's to the last event's, none for an empty stream."""
+    _check_window(duration)
+    return range(int(s.t[0]) // duration, int(s.t[-1]) // duration + 1) if len(s) else range(0)
+
+
 def _windows(
-    s: EventStream, duration: int, first: Optional[int], last: Optional[int]
+    s: EventStream, duration: int, ks: range
 ) -> Iterator[Tuple[int, int, Tuple[np.ndarray, np.ndarray]]]:
     """The checked window grid, cut lazily: (k, event count, runs) for each
-    window [k*T, (k+1)*T), k = first..last (defaults as in window_frames)."""
-    if not 0 < duration <= T_MAX:
-        raise InvalidWindow(f"integration window must be in 1..2^64-1 us, got {duration}")
-    if len(s) == 0 and (first is None or last is None):
-        return iter(())
-    k0 = int(s.t[0] // duration) if first is None else first
-    k1 = int(s.t[-1] // duration) if last is None else last
-    if k0 < 0:
-        raise InvalidWindow(f"window indices must be non-negative, got first={k0}")
+    window [k*T, (k+1)*T), k in ks (window_range's, or windows 0..n-1)."""
+    _check_window(duration)
+    k0, n = ks.start, max(ks.stop - ks.start, 0)  # len(ks) overflows past 2^63
+    if n >= np.iinfo(np.int64).max // 8:  # bounds' n + 1 int64 entries pass numpy's size limit
+        raise InvalidWindow(f"a grid of {n} windows of {duration} us is too large to cut")
     # edges past T_MAX bound at len(s); one search finds all the others
-    fit = max(min(k1 + 1, T_MAX // duration) - k0 + 1, 0)
-    bounds = np.full(max(k1 - k0 + 2, 0), len(s))
-    edges = np.arange(k0, k0 + fit, dtype=np.uint64) * np.uint64(duration)
-    bounds[:fit] = np.searchsorted(s.t, edges, side="left")
-    return (
-        (k, int(hi - lo), _runs(s, int(lo), int(hi)))
-        for k, lo, hi in zip(range(k0, k1 + 1), bounds[:-1], bounds[1:])
-    )
+    edges = np.arange(k0, min(k0 + n, T_MAX // duration) + 1, dtype=np.uint64) * np.uint64(duration)
+    bounds = np.full(n + 1, len(s))
+    bounds[: edges.size] = np.searchsorted(s.t, edges, side="left")
+    for k, lo, hi in zip(ks, bounds[:-1], bounds[1:]):
+        yield k, int(hi - lo), _runs(s, int(lo), int(hi))
 
 
 def window_frames(
-    s: EventStream,
-    duration: int,
-    first: Optional[int] = None,
-    last: Optional[int] = None,
-    size: Optional[Tuple[int, int]] = None,
+    s: EventStream, duration: int, size: Optional[Tuple[int, int]] = None
 ) -> Iterator[PolarityFrame]:
-    """Frames over consecutive windows [k*T, (k+1)*T) for k = first..last.
-
-    first and last default to the windows of the first and last event;
-    with a default end an empty stream yields nothing. Windows without
-    events yield all-zero frames; a negative first raises InvalidWindow.
-    size=(w, h) yields each frame as downscale(frame, w, h) would, built
-    from the window's runs; a size larger than the sensor, or a side
-    below 1, raises before any frame.
+    """Frames over the windows of window_range(s, duration); windows without
+    events yield all-zero frames. size=(w, h) yields each frame as
+    downscale(frame, w, h) would, built from the window's runs; a size
+    larger than the sensor, or a side below 1, raises before any frame.
     """
-    windows = _windows(s, duration, first, last)  # checks the grid before the size
+    windows = _windows(s, duration, window_range(s, duration))  # checks T before the size
     if size is not None:
         _check_size(s.width, s.height, *size)
     for k, events, runs in windows:
@@ -206,14 +203,12 @@ def window_frames(
             yield _shrink(s, runs, k * duration, duration, events, size)
 
 
-def window_activity(
-    s: EventStream, duration: int, first: Optional[int] = None, last: Optional[int] = None
-) -> Iterator[np.ndarray]:
-    """(H, W) uint16 per-pixel pos + neg counts of the windows window_frames
-    would yield, each equal to np.add(f.pos, f.neg, dtype=np.uint16) of its
-    frame f (so each polarity saturates at 255 and a pixel at 510), but
-    built from the window's runs with no frame."""
-    for _, _, runs in _windows(s, duration, first, last):
+def window_activity(s: EventStream, duration: int, n: int) -> Iterator[np.ndarray]:
+    """(H, W) uint16 per-pixel pos + neg counts of windows 0..n-1, each equal
+    to np.add(f.pos, f.neg, dtype=np.uint16) of accumulate(s, k*T, T) (so
+    each polarity saturates at 255 and a pixel at 510), but built from the
+    window's runs with no frame."""
+    for _, _, runs in _windows(s, duration, range(n)):
         yield _activity(s, runs)
 
 
@@ -306,5 +301,6 @@ def read_pfr1(blob: bytes) -> PolarityFrame:
     need = _PFR1_HEADER.size + 2 * w * h
     if len(blob) != need:
         raise TruncatedRecord(f"expected {need} bytes for {w}x{h}, got {len(blob)}")
+    _check_window(duration)  # frame_index divides by it
     pos, neg = np.frombuffer(blob, dtype=np.uint8, offset=_PFR1_HEADER.size).reshape(2, h, w).copy()
     return PolarityFrame(w, h, t0, duration, pos, neg)

@@ -35,8 +35,8 @@ from scipy import ndimage
 
 from .config import numbers
 from .errors import ConfigInvalid
-from .events import EventStream
-from .frames import DEFAULT_WINDOW_US, PolarityFrame, nonzero_box, window_frames
+from .events import T_MAX, EventStream
+from .frames import DEFAULT_WINDOW_US, PolarityFrame, nonzero_box, window_frames, window_range
 from .geometry import CameraPair, transfer_tracks
 from .labels import BBox, Detection, EvalReport, Track, densify_tracks, evaluate_detections, load_detections_csv
 
@@ -64,8 +64,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.queue_capacity is None:
             object.__setattr__(self, "queue_capacity", 2 * self.batch_size)
-        if self.integration_window <= 0:
-            raise ConfigInvalid(f"integration_window must be positive, got {self.integration_window}")
+        if not 0 < self.integration_window <= T_MAX:
+            raise ConfigInvalid(f"integration_window must be in 1..2^64-1 us, got {self.integration_window}")
         if not 1 <= self.batch_size < 2**63:
             raise ConfigInvalid(f"batch_size must be >= 1 and < 2**63, got {self.batch_size}")
         if not self.batch_size <= self.queue_capacity < 2**63:
@@ -241,10 +241,10 @@ def run_pipeline(
             yield frame
             t0 = time.perf_counter()
 
-    # a read-ahead deeper than the default grid's windows and the end would hold idle futures
-    t, window = events.t, cfg.integration_window
-    windows = int(t[-1]) // window - int(t[0]) // window + 1 if len(t) else 0
-    frames = produce() if threads == 1 else _read_ahead(produce(), min(cfg.queue_capacity, windows + 1))
+    # a read-ahead deeper than the grid's windows and the end would hold idle futures
+    ks = window_range(events, cfg.integration_window)
+    depth = min(cfg.queue_capacity, ks.stop - ks.start + 1)  # not len(ks), which overflows past 2^63
+    frames = produce() if threads == 1 else _read_ahead(produce(), depth)
     with closing(frames):
         for batch in iter(lambda: list(islice(frames, cfg.batch_size)), []):
             metrics.frames_produced += len(batch)

@@ -2,9 +2,9 @@
 
 align(stream, seq, max_abs_offset) is the entry point; the functions below
 are its steps. The two modalities are first reduced to comparable
-"activity" signals: per-window pos+neg event counts on one side, which
-frames.window_activity builds straight from each window's event runs with
-no polarity frame, and absolute consecutive-frame differences on the other.
+"activity" signals over the clip's n frame periods: pos+neg event counts
+of windows 0..n-1, built by frames.window_activity from each window's runs
+with no polarity frame, and the n absolute consecutive-frame differences.
 Both are then resampled onto a small common raster by frames.area_sum,
 which crops each grid to its box of nonzero cells first: both signals are
 mostly zero, and a zero cell changes no raster cell. align streams the
@@ -137,9 +137,8 @@ def find_offset(
 
 
 def event_activity_sequence(s: EventStream, frame_period: int, n_frames: int) -> List[np.ndarray]:
-    """Per-window (H, W) uint16 pos + neg count grids of windows
-    0..n_frames-1: frames.window_activity as a list."""
-    return list(window_activity(s, frame_period, 0, n_frames - 1))
+    """The grids of frames.window_activity(s, frame_period, n_frames) as a list."""
+    return list(window_activity(s, frame_period, n_frames))
 
 
 def gray_activity_sequence(seq: GrayFrameSequence) -> List[np.ndarray]:
@@ -166,5 +165,5 @@ def align(s: EventStream, seq: GrayFrameSequence, max_abs_offset: int) -> Offset
     are streamed: each is resampled and freed before the next window is cut.
     A positive result means the frames lag the events."""
     rgb = gray_activity_sequence(seq)
-    ev = to_common_raster(window_activity(s, seq.frame_period, 0, len(rgb) - 1))
+    ev = to_common_raster(window_activity(s, seq.frame_period, len(rgb)))
     return find_offset(ev, to_common_raster(rgb), max_abs_offset)

@@ -16,7 +16,7 @@ from evflow.events import SensorGeometry, decode_stream
 from evflow import frames as frames_mod
 from evflow import netpbm
 from evflow import sync as sync_mod
-from evflow.frames import downscale, read_pfr1, window_frames
+from evflow.frames import accumulate, downscale, read_pfr1, window_frames
 from evflow.labels import (
     BBox,
     Detection,
@@ -321,7 +321,8 @@ def test_sync_builds_no_polarity_frame(tmp_path, capsys, monkeypatch):
     ev = synth_recording(tmp_path, capsys, 2.0)
     frames_dir = write_delayed_frames(tmp_path / "rgb")
     stream = decode_stream(pathlib.Path(ev).read_bytes())
-    want_ev = [np.add(f.pos, f.neg, dtype=np.uint16) for f in window_frames(stream, 33_333, 0, 58)]
+    frames = (accumulate(stream, k * 33_333, 33_333) for k in range(59))
+    want_ev = [np.add(f.pos, f.neg, dtype=np.uint16) for f in frames]
     gray = [netpbm.luminance(netpbm.read_netpbm(p.read_bytes()))
             for p in sorted(pathlib.Path(frames_dir).glob("*.pgm"))]
     rgb_act = sync_mod.gray_activity_sequence(sync_mod.GrayFrameSequence(640, 480, 33_333, gray))
@@ -494,15 +495,30 @@ def test_accumulate_window_past_uint64_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("cmd", ["accumulate", "run"])
-def test_window_grid_too_large_to_allocate_exits_1(tmp_path, capsys, cmd):
+# at the default window the grid's bounds cannot be allocated; at 1-3 us they
+# would pass numpy's array size limit, so the cutter refuses them first
+@pytest.mark.parametrize("cmd,window,threads,error", [
+    pytest.param("accumulate", None, None, "MemoryError", id="accumulate"),
+    pytest.param("run", None, None, "MemoryError", id="run"),
+    *(pytest.param("accumulate", w, None, "InvalidWindow", id=f"accumulate-{w}us") for w in (1, 2, 3)),
+    *(pytest.param("run", w, t, "InvalidWindow", id=f"run-{w}us-t{t}") for w in (1, 2) for t in (1, 2)),
+])
+def test_window_grid_too_large_to_allocate_exits_1(tmp_path, capsys, monkeypatch, cmd, window, threads,
+                                                   error):
     ev = tmp_path / "span.evb1"  # 16x16, events at t = 0 and t = 2^64-1
     ev.write_bytes(b"EVB1" + struct.pack("<HHQHHBQHHB", 16, 16, 0, 3, 4, 1, 2**64 - 1, 5, 6, 0))
     extra = ["--out-dir", str(tmp_path / "x")] if cmd == "accumulate" else []
+    if window is not None and cmd == "accumulate":
+        extra += ["--window-us", str(window)]
+    elif window is not None:
+        monkeypatch.setenv("EVFLOW_THREADS", str(threads))
+        pipe_cfg = tmp_path / "pipe.cfg"
+        pipe_cfg.write_text(f"integration_window_us = {window}\n")
+        extra = ["--config", str(pipe_cfg)]
     code, _, err = run_cli(capsys, cmd, "--events", str(ev), *extra)
     assert code == 1
-    assert err.startswith("error: MemoryError:")
-    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {error}:")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_transfer_labels_malformed_calibration_exits_1(tmp_path, capsys):

@@ -18,6 +18,7 @@ from evflow.frames import (
     render_rgb,
     window_activity,
     window_frames,
+    window_range,
     write_pfr1,
 )
 from evflow.frames import _band_weights, _runs
@@ -138,18 +139,22 @@ def test_window_frames_match_accumulate_across_gap():
     assert not any(f.pos.any() or f.neg.any() for f in frames[2:6])
 
 
-def test_window_frames_explicit_range_before_first_event():
+def test_explicit_range_before_first_event_is_accumulate_per_window():
+    # windows 0..11 as accumulate(s, k*T, T); window_frames yields 3..9 of them
     s, T = gap_stream(), 33_333
-    frames = list(window_frames(s, T, 0, 11))
+    frames = [accumulate(s, k * T, T) for k in range(12)]
+    assert window_range(s, T) == range(3, 10)
+    for f, g in zip(frames[3:10], window_frames(s, T), strict=True):
+        assert_same_frame(f, g)
     assert [f.t0 for f in frames] == [k * T for k in range(12)]
-    for f in frames:
-        assert_same_frame(f, accumulate(s, f.t0, T))
     assert sum(int(f.pos.sum()) + int(f.neg.sum()) for f in frames) == len(s)
     assert sum(f.events for f in frames) == len(s)
 
 
-def test_window_frames_explicit_range_on_empty_stream():
-    frames = list(window_frames(EventStream.empty(SMALL), 1000, 0, 2))
+def test_explicit_range_on_empty_stream_is_accumulate_per_window():
+    s = EventStream.empty(SMALL)
+    frames = [accumulate(s, k * 1000, 1000) for k in range(3)]
+    assert window_range(s, 1000) == range(0) and list(window_frames(s, 1000)) == []
     assert [f.t0 for f in frames] == [0, 1000, 2000]
     assert not any(f.pos.any() or f.neg.any() for f in frames)
 
@@ -172,12 +177,6 @@ def test_window_frames_hold_an_event_at_the_last_timestamp(T):
         assert_same_frame(f, accumulate(s, f.t0, T))
 
 
-def test_window_frames_negative_first_is_invalid_window():
-    s = random_stream(SMALL, 100, seed=3, t_max=20)
-    with pytest.raises(InvalidWindow, match="non-negative"):
-        list(window_frames(s, 10, -1, 2))
-
-
 def test_window_past_the_uint64_range_is_rejected():
     s = EventStream(SensorGeometry(4, 4), [1], [0], [0], [1])
     with pytest.raises(InvalidWindow):
@@ -186,11 +185,22 @@ def test_window_past_the_uint64_range_is_rejected():
         accumulate(s, 0, 2**64)
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 16])
+def test_window_grid_past_the_array_size_limit_is_invalid_window(T):
+    # t = 0 to 2^64 - 1 spans 2^64 // T windows, too many for an int64 array of bounds
+    s = EventStream(SensorGeometry(4, 4), [0, 2**64 - 1], [0, 1], [0, 1], [1, 0])
+    ks = window_range(s, T)
+    assert (ks.start, ks.stop) == (0, (2**64 - 1) // T + 1)
+    with pytest.raises(InvalidWindow, match=f"{ks.stop} windows"):
+        next(window_frames(s, T))
+
+
 @settings(max_examples=150)
 @given(data=st.data())
 def test_window_frames_equal_brute_force(data):
     # bursts of one cell at consecutive microseconds on a few cells: counts past
-    # 255, and windows between distant bursts left empty
+    # 255, and windows between distant bursts left empty; window_activity over
+    # windows 0..last, before the first event too
     geom = SensorGeometry(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4)))
     burst = st.tuples(st.integers(0, 40_000), st.integers(0, geom.width - 1),
                       st.integers(0, geom.height - 1), st.integers(0, 1), st.integers(1, 600))
@@ -198,19 +208,21 @@ def test_window_frames_equal_brute_force(data):
     t, x, y, p = zip(*sorted((t + i, x, y, p) for t, x, y, p, n in bursts for i in range(n)))
     s = EventStream(geom, t, x, y, p)
     T = data.draw(st.integers(100, 5_000))
-    k0 = data.draw(st.integers(0, t[0] // T))  # windows before the first event too
-    frames = list(window_frames(s, T, k0, t[-1] // T))
-    assert [f.frame_index for f in frames] == list(range(k0, t[-1] // T + 1))
+    frames = list(window_frames(s, T))
+    assert [f.frame_index for f in frames] == list(range(t[0] // T, t[-1] // T + 1))
     for f in frames:
         pos, neg = brute_force_counts(s, f.t0, f.t0 + T, geom)
         assert np.array_equal(f.pos, pos) and np.array_equal(f.neg, neg)
+    for k, act in enumerate(window_activity(s, T, t[-1] // T + 1)):
+        pos, neg = brute_force_counts(s, k * T, (k + 1) * T, geom)
+        assert np.array_equal(act, np.add(pos, neg, dtype=np.uint16))
 
 
 @settings(max_examples=100)
 @given(data=st.data())
 def test_window_frames_size_equals_downscale_of_each_frame(data):
     # integer and non-integer ratios; bursts past 255 on one cell; empty and gap
-    # windows; default or explicit first and last, also past the events or on no events
+    # windows; a stream with no events
     geom = SensorGeometry(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 7)))
     size = (data.draw(st.integers(1, geom.width)), data.draw(st.integers(1, geom.height)))
     burst = st.tuples(st.integers(0, 40_000), st.integers(0, geom.width - 1),
@@ -219,9 +231,8 @@ def test_window_frames_size_equals_downscale_of_each_frame(data):
     events = sorted((t + i, x, y, p) for t, x, y, p, n in bursts for i in range(n))
     s = EventStream(geom, *zip(*events)) if events else EventStream.empty(geom)
     T = data.draw(st.integers(500, 8_000))
-    first, last = (data.draw(st.none() | st.integers(0, 41_000 // T)) for _ in range(2))
-    want = [downscale(f, *size) for f in window_frames(s, T, first, last)]
-    got = list(window_frames(s, T, first, last, size=size))
+    want = [downscale(f, *size) for f in window_frames(s, T)]
+    got = list(window_frames(s, T, size=size))
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_same_frame(g, w)
@@ -234,7 +245,7 @@ def test_window_frames_size_equals_downscale_of_each_frame(data):
 ])
 @pytest.mark.parametrize("n", [0, 100])
 def test_window_frames_size_is_checked_before_any_frame(size, error, n):
-    frames = window_frames(random_stream(SMALL, n, seed=3), 33_333, 0, 2, size=size)
+    frames = window_frames(random_stream(SMALL, n, seed=3), 33_333, size=size)
     with pytest.raises(error):
         next(frames)
 
@@ -431,10 +442,10 @@ def test_area_average_against_manual_windows():
     assert np.allclose(area_average(g, 4, 4), manual, atol=1e-12)
 
 
-def assert_activity_of_frames(s, T, first=None, last=None):
+def assert_activity_of_frames(s, T, n):
     """window_activity equals each frame's pos + neg without 8-bit overflow."""
-    got = list(window_activity(s, T, first, last))
-    want = [np.add(f.pos, f.neg, dtype=np.uint16) for f in window_frames(s, T, first, last)]
+    got = list(window_activity(s, T, n))
+    want = [np.add(f.pos, f.neg, dtype=np.uint16) for f in (accumulate(s, k * T, T) for k in range(n))]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == np.uint16 and g.shape == (s.height, s.width) and g.flags.c_contiguous
@@ -443,7 +454,7 @@ def assert_activity_of_frames(s, T, first=None, last=None):
 
 
 def test_activity_zero_frame():
-    (act,) = assert_activity_of_frames(EventStream.empty(SMALL), 1000, 0, 0)
+    (act,) = assert_activity_of_frames(EventStream.empty(SMALL), 1000, 1)
     assert act.shape == (48, 64) and not act.any()
 
 
@@ -452,45 +463,43 @@ def test_activity_no_uint8_overflow():
     n = 300
     s = EventStream(SMALL, np.arange(2 * n, dtype=np.uint64), [3] * 2 * n, [4] * 2 * n,
                     [1, 0] * n)
-    (act,) = assert_activity_of_frames(s, 1000)
+    (act,) = assert_activity_of_frames(s, 1000, 1)
     assert act[4, 3] == 510 and act.sum() == 510
 
 
 def test_activity_matches_elementwise_sum():
     s = random_stream(SMALL, 3_000, seed=8, t_max=10_000)
-    (act,) = window_activity(s, 10_000)
+    (act,) = window_activity(s, 10_000, 1)
     f = accumulate(s, 0, 10_000)
     assert np.array_equal(act, f.pos.astype(int) + f.neg.astype(int))
 
 
 def test_window_activity_across_gap_and_before_first_event():
     s, T = gap_stream(), 33_333
-    assert len(assert_activity_of_frames(s, T)) == 7
-    grids = assert_activity_of_frames(s, T, 0, 11)
+    grids = assert_activity_of_frames(s, T, 12)
     assert len(grids) == 12 and sum(int(g.sum()) for g in grids) == len(s)
     assert not any(g.any() for g in grids[:3] + grids[5:9] + grids[10:])
 
 
 def test_window_activity_empty_stream():
-    assert list(window_activity(EventStream.empty(SMALL), 33_333)) == []
-    grids = assert_activity_of_frames(EventStream.empty(SMALL), 1000, 0, 2)
+    assert list(window_activity(EventStream.empty(SMALL), 33_333, 0)) == []
+    grids = assert_activity_of_frames(EventStream.empty(SMALL), 1000, 3)
     assert len(grids) == 3 and not any(g.any() for g in grids)
 
 
 def test_window_activity_rejects_bad_windows():
     s = random_stream(SMALL, 100, seed=3, t_max=20)
-    with pytest.raises(InvalidWindow):
-        list(window_activity(s, 0))
-    with pytest.raises(InvalidWindow, match="non-negative"):
-        list(window_activity(s, 10, -1, 2))
+    for T in (0, 2**64):
+        with pytest.raises(InvalidWindow):
+            list(window_activity(s, T, 2))
 
 
 @settings(max_examples=150)
 @given(data=st.data())
 def test_window_activity_equals_pos_plus_neg_of_each_frame(data):
     # bursts past 255 of either polarity on a few cells, so both polarities
-    # share pixels; empty and gap windows; default or explicit first and last,
-    # also before the first event, past the events or on no events
+    # share pixels; empty and gap windows; windows 0..n-1, also before the
+    # first event, past the events or on no events
     geom = SensorGeometry(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)))
     burst = st.tuples(st.integers(0, 40_000), st.integers(0, geom.width - 1),
                       st.integers(0, geom.height - 1), st.integers(0, 1), st.integers(1, 600))
@@ -498,8 +507,7 @@ def test_window_activity_equals_pos_plus_neg_of_each_frame(data):
     events = sorted((t + i, x, y, p) for t, x, y, p, n in bursts for i in range(n))
     s = EventStream(geom, *zip(*events)) if events else EventStream.empty(geom)
     T = data.draw(st.integers(500, 8_000))
-    first, last = (data.draw(st.none() | st.integers(0, 41_000 // T)) for _ in range(2))
-    assert_activity_of_frames(s, T, first, last)
+    assert_activity_of_frames(s, T, data.draw(st.integers(0, 41_000 // T + 1)))
 
 
 @settings(max_examples=150)

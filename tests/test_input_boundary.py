@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from evflow.bench import load_latency_table, load_power_trace
 from evflow.config import read_table
-from evflow.errors import BadMagic, BadRow, EvflowError, NonUniformSampling, TruncatedRecord
+from evflow.errors import BadMagic, BadRow, EvflowError, InvalidWindow, NonUniformSampling, TruncatedRecord
 from evflow.events import EVB1_MAGIC, decode_stream
 from evflow.frames import PFR1_MAGIC, read_pfr1, window_frames
 from evflow.labels import BBox, Detection, load_detections_csv, load_labels_csv
@@ -155,14 +155,30 @@ def test_evb1_zero_side_is_bad_magic():
         decode_stream(b"EVB1\x00\x00\x04\x00")
 
 
+@pytest.mark.parametrize("read,blob", [
+    (decode_stream, EVB1_MAGIC + b"\x10"),                      # 5 of the 8 header bytes
+    (read_pfr1, PFR1_MAGIC + struct.pack("<HHQ", 4, 4, 0)),     # 16 of the 24 header bytes
+    (read_netpbm, b"P5 2 2 255\n\x00\x00\x00"),                 # 3 of the 4 pixel bytes
+], ids=["evb1", "pfr1", "netpbm"])
+def test_truncated_blob_is_truncated_record(read, blob):
+    with pytest.raises(TruncatedRecord):
+        read(blob)
+
+
+def test_pfr1_zero_duration_is_invalid_window():
+    # a frame's index is t0 // duration, so a zero duration is no frame
+    with pytest.raises(InvalidWindow):
+        read_pfr1(PFR1_MAGIC + struct.pack("<HHQQ", 1, 1, 5, 0) + b"\x00\x00")
+
+
 # --- properties: any input yields a value or an EvflowError ---
 
 
 def value_or_typed_error(read, arg):
     try:
-        read(arg)
+        return read(arg)
     except EvflowError:
-        pass
+        return None
 
 
 # Any of the first 256 code points (decoded bytes: full-Unicode text costs
@@ -206,7 +222,9 @@ HEADER_FIELD = st.integers(-1, 70_000)
 @given(data=st.data())
 def test_binary_readers_raise_only_typed_errors(read, header, data):
     prefix = data.draw(st.just(b"") | header)
-    value_or_typed_error(read, prefix + data.draw(st.binary()))
+    value = value_or_typed_error(read, prefix + data.draw(st.binary()))
+    if read is read_pfr1 and value is not None:
+        assert value.frame_index >= 0  # a frame that reads back has an index
 
 
 # in-range coordinates and timestamps, so that most streams decode and reach accumulation

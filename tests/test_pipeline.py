@@ -469,15 +469,17 @@ def test_pipeline_env_var_selects_threading(monkeypatch):
     monkeypatch.setenv("EVFLOW_THREADS", "2")
     b = run_pipeline(stream, cfg)
     assert detection_keys(a.detections) == detection_keys(b.detections)
-    monkeypatch.setenv("EVFLOW_THREADS", "3")
-    with pytest.raises(ConfigInvalid):
-        run_pipeline(stream, cfg)
+    for raw in ("3", "abc"):
+        monkeypatch.setenv("EVFLOW_THREADS", raw)
+        with pytest.raises(ConfigInvalid, match=raw):
+            run_pipeline(stream, cfg)
 
 
 def test_pipeline_config_validation():
     # every check runs when the config is built, so no caller can skip it
     for kwargs in (
         {"integration_window": 0},
+        {"integration_window": 2**64},
         {"batch_size": 0},
         {"batch_size": 2**63},
         {"batch_size": 2**62},  # its default capacity 2 * batch_size reaches 2**63
@@ -492,6 +494,7 @@ def test_pipeline_config_validation():
             PipelineConfig(downscale_to=size)
     top = PipelineConfig(batch_size=2**63 - 1, queue_capacity=2**63 - 1)
     assert (top.batch_size, top.queue_capacity) == (2**63 - 1, 2**63 - 1)
+    assert PipelineConfig(integration_window=2**64 - 1).integration_window == 2**64 - 1
     cfg = PipelineConfig(batch_size=3)
     assert cfg.queue_capacity == 6
     with pytest.raises(FrozenInstanceError):
