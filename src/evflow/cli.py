@@ -159,11 +159,16 @@ def _cmd_transfer_labels(args) -> int:
     return 0
 
 
+def _score(dets, tracks, iou_thresh: float, sx: float = 1.0, sy: float = 1.0):
+    """AP of dets against the densified tracks, each box scaled by (sx, sy) into the detector's frame."""
+    gts = {f: [labels_mod.BBox(b.x * sx, b.y * sy, b.w * sx, b.h * sy) for b in bs]
+           for f, bs in labels_mod.densify_tracks(tracks).items()}
+    return labels_mod.evaluate_detections(dets, gts, iou_thresh)
+
+
 def _cmd_eval(args) -> int:
     dets = labels_mod.load_detections_csv(args.detections)
-    tracks = labels_mod.load_labels_csv(args.truth)
-    gts = labels_mod.densify_tracks(tracks)
-    report = labels_mod.evaluate_detections(dets, gts, args.iou)
+    report = _score(dets, labels_mod.load_labels_csv(args.truth), args.iou)
     print(json.dumps(asdict(report), indent=2, allow_nan=False))
     return 0
 
@@ -193,17 +198,21 @@ def _cmd_run(args) -> int:
         else PipelineConfig()
     )
     calib = load_calibration(_read(args.calib).decode()) if args.calib else None
-    gts = labels_mod.load_labels_csv(args.truth) if args.truth else None
-    result = run_pipeline(stream, cfg, calib=calib, gts=gts)
-    if args.detections_out:
-        labels_mod.write_detections_csv(result.detections, args.detections_out)
+    tracks = labels_mod.load_labels_csv(args.truth) if args.truth else []
+    result = run_pipeline(stream, cfg)
     doc = {
         **asdict(result.metrics),
         "n_detections": len(result.detections),
-        "labels_skipped": result.labels_skipped,
+        "labels_skipped": 0,
     }
-    if result.eval_report is not None:
-        doc["eval"] = asdict(result.eval_report)
+    if tracks:
+        if calib is not None:
+            tracks, doc["labels_skipped"] = transfer_tracks(tracks, calib)
+        g = stream.geometry
+        w, h = cfg.downscale_to or (g.width, g.height)  # score in the detector's frame
+        doc["eval"] = asdict(_score(result.detections, tracks, 0.5, w / g.width, h / g.height))
+    if args.detections_out:
+        labels_mod.write_detections_csv(result.detections, args.detections_out)
     text = json.dumps(doc, indent=2, allow_nan=False)
     if args.report:
         with open(args.report, "w") as fh:

@@ -306,9 +306,9 @@ def load_calibration(doc: str) -> CameraPair:
     def camera(prefix: str) -> Camera:
         fx, fy, cx, cy = (numbers(values, f"{prefix}.{k}", 1)[0] for k in ("fx", "fy", "cx", "cy"))
         dist = Distortion(*numbers(values, f"{prefix}.dist", 4))
-        w, h = numbers(values, f"{prefix}.size", 2)
+        w, h = numbers(values, f"{prefix}.size", 2, int)
         try:
-            return Camera(Intrinsics(fx, fy, cx, cy), dist, SensorGeometry(int(w), int(h)))
+            return Camera(Intrinsics(fx, fy, cx, cy), dist, SensorGeometry(w, h))
         except ValueError as exc:
             raise ConfigInvalid(f"{prefix}: {exc}") from None
 

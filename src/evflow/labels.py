@@ -100,6 +100,8 @@ class Detection:
     class_id: int = 0
 
     def __post_init__(self):
+        if self.frame_idx < 0:
+            raise ValueError(f"frame index must be non-negative, got {self.frame_idx}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 

@@ -16,7 +16,7 @@ The stub detector stands in for a learned model: it thresholds the
 activity grid, labels 4-connected components, and emits one detection per
 sufficiently large component. An external-detections backend replays a
 CSV of precomputed detections instead, so real model outputs can flow
-through the same evaluation path.
+through the same pipeline; `evflow run` scores what it returns.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from .config import numbers
 from .errors import ConfigInvalid
 from .events import T_MAX, EventStream
 from .frames import DEFAULT_WINDOW_US, PolarityFrame, nonzero_box, window_frames, window_range
-from .geometry import CameraPair, transfer_tracks
-from .labels import BBox, Detection, EvalReport, Track, densify_tracks, evaluate_detections, load_detections_csv
+from .labels import BBox, Detection, load_detections_csv
 
 STUB_DETECTOR = "stub"
 ENV_THREADS = "EVFLOW_THREADS"
@@ -108,8 +107,6 @@ class PipelineMetrics:
 class PipelineResult:
     detections: List[Detection]
     metrics: PipelineMetrics
-    eval_report: Optional[EvalReport] = None
-    labels_skipped: int = 0                   # ground-truth boxes that missed the event sensor
 
 
 def stub_detector(
@@ -206,19 +203,15 @@ def _read_ahead(frames: Iterator[PolarityFrame], capacity: int) -> Iterator[Pola
 def run_pipeline(
     events: EventStream,
     cfg: PipelineConfig,
-    calib: Optional[CameraPair] = None,
-    gts: Optional[Sequence[Track]] = None,
     detector_fn: Optional[DetectorFn] = None,
     threads: Optional[int] = None,
 ) -> PipelineResult:
     """Run accumulate -> batch -> detect over a whole stream.
 
-    calib, when given, maps ground-truth tracks from the RGB view into the
-    event view before scoring; boxes that miss the event sensor are
-    skipped and counted. gts, when given, adds an average-precision report
-    at IoU 0.5, scored in the detector's frame (downscaled when
-    downscale_to is set). detector_fn overrides the configured detector
-    (test hook).
+    Returns every window's detections, in window order and in the
+    detector's frame (downscaled when downscale_to is set), with the frame
+    counts and stage latencies. detector_fn overrides the configured
+    detector (test hook); threads overrides EVFLOW_THREADS.
     """
     threads = _resolve_threads(threads)
     if detector_fn is not None:
@@ -262,20 +255,4 @@ def run_pipeline(
         "detect": _percentiles(det_ms),
     }
     metrics.throughput_fps = metrics.frames_inferred / wall if wall > 0 else 0.0
-
-    report = None
-    skipped = 0
-    if gts:
-        tracks = list(gts)
-        if calib is not None:
-            tracks, skipped = transfer_tracks(tracks, calib)
-        gt_boxes = densify_tracks(tracks)
-        if cfg.downscale_to is not None:  # score in the detector's frame
-            sx = cfg.downscale_to[0] / events.geometry.width
-            sy = cfg.downscale_to[1] / events.geometry.height
-            gt_boxes = {
-                f: [BBox(b.x * sx, b.y * sy, b.w * sx, b.h * sy) for b in bs]
-                for f, bs in gt_boxes.items()
-            }
-        report = evaluate_detections(detections, gt_boxes, iou_thresh=0.5)
-    return PipelineResult(detections, metrics, report, skipped)
+    return PipelineResult(detections, metrics)

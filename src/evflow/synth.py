@@ -78,7 +78,7 @@ class DiscTrajectory:
 def trajectory_from_config(values: Dict[str, str]) -> Tuple[DiscTrajectory, SensorGeometry]:
     """Read synth keys: center_start, velocity, radius, duration_s,
     event_rate_density, sensor."""
-    w, h = numbers(values, "sensor", 2)
+    w, h = numbers(values, "sensor", 2, int)
     try:
         traj = DiscTrajectory(
             center_start=tuple(numbers(values, "center_start", 2)),
@@ -87,7 +87,7 @@ def trajectory_from_config(values: Dict[str, str]) -> Tuple[DiscTrajectory, Sens
             duration=numbers(values, "duration_s", 1)[0],
             event_rate_density=numbers(values, "event_rate_density", 1)[0],
         )
-        geom = SensorGeometry(int(w), int(h))
+        geom = SensorGeometry(w, h)
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from None
     return traj, geom

@@ -440,6 +440,43 @@ def test_run_default_capacity_drops_nothing(tmp_path, capsys):
     assert doc["eval"]["ap"] >= 0.9
 
 
+def disc_with_truth(tmp_path, capsys):
+    """The 30-window disc of test_pipeline.disc_recording(seconds=1.0), with its truth."""
+    ev, truth = tmp_path / "rec.evb1", tmp_path / "truth.csv"
+    assert main(["synth", "--config", write_traj_cfg(tmp_path, 30 * 33_333 * 1e-6), "--out", str(ev),
+                 "--truth", str(truth), "--seed", "4"]) == 0
+    capsys.readouterr()
+    return str(ev), str(truth)
+
+
+def test_run_downscale_scores_in_detector_frame(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EVFLOW_THREADS", "1")
+    ev, truth = disc_with_truth(tmp_path, capsys)
+    pipe_cfg = tmp_path / "pipe.cfg"
+    pipe_cfg.write_text("downscale_to = 320 240\nstub_min_area = 4\n")
+    code, out, _ = run_cli(capsys, "run", "--events", ev, "--config", str(pipe_cfg), "--truth", truth)
+    assert code == 0
+    assert json.loads(out)["eval"]["ap"] >= 0.9
+
+
+def test_run_skips_off_sensor_ground_truth(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EVFLOW_THREADS", "1")
+    ev, truth = disc_with_truth(tmp_path, capsys)
+    (track,) = load_labels_csv(truth)
+    off = Keyframe(track.keyframes[-1].frame_idx + 1, BBox(5000.0, 5000.0, 20.0, 20.0))
+    write_labels_csv([Track(track.track_id, track.keyframes + (off,))], truth)
+    calib = tmp_path / "calib.txt"
+    calib.write_text(CALIB_DOC)  # the identity calibration
+    pipe_cfg = tmp_path / "pipe.cfg"
+    pipe_cfg.write_text("stub_min_area = 20\n")
+    code, out, _ = run_cli(capsys, "run", "--events", ev, "--config", str(pipe_cfg),
+                           "--calib", str(calib), "--truth", truth)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["labels_skipped"] == 1
+    assert doc["eval"]["ap"] >= 0.9
+
+
 @pytest.mark.parametrize("size", ["0 0", "32 -5", "1.5 2.7"])
 def test_run_non_positive_downscale_exits_1(tmp_path, capsys, size):
     ev = synth_recording(tmp_path, capsys, 0.2)
@@ -540,6 +577,7 @@ def test_transfer_labels_malformed_calibration_exits_1(tmp_path, capsys):
     ("radius = 14", "", "MissingField"),
     ("seed = 5", "seed = -1", "ConfigInvalid"),
     ("sensor = 640 480", "sensor = 70000 480", "ConfigInvalid"),
+    ("sensor = 640 480", "sensor = 320.7 240", "ConfigInvalid"),
     ("radius = 14", "radius = \xff", "UnicodeDecodeError"),  # not UTF-8
     # beyond the largest mean numpy's Poisson sampler accepts
     ("event_rate_density = 700", "event_rate_density = 1e300", "ConfigInvalid"),
@@ -635,6 +673,7 @@ def test_malformed_flag_is_usage_error(capsys, argv):
     ("frame_idx,class_id,confidence,x,y,w,h", "0,0,0.9,ten,10,20,20"),  # not a number
     ("frame_idx,class_id,x,y,w,h", "0,0,10,10,20,20"),                  # no confidence column
     ("frame_idx,class_id,confidence,x,y,w,h", "0,0,0.9,nan,10,20,20"),  # not finite
+    ("frame_idx,class_id,confidence,x,y,w,h", "-5,0,0.9,1,1,3,4"),      # negative frame
 ])
 def test_eval_malformed_detections_exit_1(tmp_path, capsys, header, row):
     dets = tmp_path / "dets.csv"
@@ -644,6 +683,37 @@ def test_eval_malformed_detections_exit_1(tmp_path, capsys, header, row):
     code, _, err = run_cli(capsys, "eval", "--detections", str(dets), "--truth", str(truth))
     assert code == 1
     assert err.startswith("error: BadRow: line ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def sync_on_frames_of_two_sizes(tmp_path, capsys):
+    frames_dir = tmp_path / "rgb"
+    frames_dir.mkdir()
+    (frames_dir / "000.pgm").write_bytes(write_pgm(np.zeros((48, 64), np.uint8)))
+    (frames_dir / "001.pgm").write_bytes(write_pgm(np.zeros((24, 32), np.uint8)))
+    return ["sync", "--events", synth_recording(tmp_path, capsys, 0.2),
+            "--frames-dir", str(frames_dir), "--frame-period-us", "33333"]
+
+
+def eval_against_labels(text):
+    def argv(tmp_path, capsys):
+        dets, truth = tmp_path / "dets.csv", tmp_path / "truth.csv"
+        write_detections_csv([Detection(0, BBox(1, 1, 3, 4), 0.9)], str(dets))
+        truth.write_bytes(b"frame_idx,track_id,x,y,w,h\n" + text)
+        return ["eval", "--detections", str(dets), "--truth", str(truth)]
+    return argv
+
+
+@pytest.mark.parametrize("make_argv,kind", [
+    pytest.param(sync_on_frames_of_two_sizes, "ShapeMismatch", id="sync-frames-of-two-sizes"),
+    pytest.param(eval_against_labels(b"0,\xff,1,1,3,4\n"), "UnicodeDecodeError", id="labels-not-utf8"),
+    pytest.param(eval_against_labels(b"0,a,1,1,-3,4\n"), "BadRow", id="labels-negative-width"),
+    pytest.param(eval_against_labels(b"-1,a,1,1,3,4\n"), "BadRow", id="labels-negative-frame"),
+])
+def test_input_check_exits_1_with_one_error_line(tmp_path, capsys, make_argv, kind):
+    code, _, err = run_cli(capsys, *make_argv(tmp_path, capsys))
+    assert code == 1
+    assert err.startswith(f"error: {kind}:")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -460,6 +460,7 @@ def test_load_calibration_missing_field():
     ("cam_rgb.fx = 520.9", "cam_rgb.fx = -1"),
     ("cam_rgb.dist = -0.28 0.07 0.0003 -0.0002", "cam_rgb.dist = 0 0 0"),
     ("cam_dvs.size = 1280 720", "cam_dvs.size = 0 720"),
+    ("cam_dvs.size = 1280 720", "cam_dvs.size = 1280.9 720.5"),
     ("extrinsics.t = 0.021 -0.003 0.0005", "extrinsics.t = nan 0 0"),
     ("# rig calibration", "rig calibration"),
 ])

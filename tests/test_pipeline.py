@@ -18,8 +18,8 @@ from evflow.frames import PolarityFrame, downscale, window_frames
 from evflow.labels import (
     BBox,
     Detection,
-    Keyframe,
-    Track,
+    densify_tracks,
+    evaluate_detections,
     interpolate_track,
     iou,
     write_detections_csv,
@@ -31,7 +31,6 @@ from evflow.pipeline import (
     stub_detector,
 )
 from evflow.synth import DiscTrajectory, generate_disc_events, ground_truth_boxes
-from test_geometry import identity_pair
 
 GEOM = SensorGeometry(640, 480)
 WINDOW = 33_333
@@ -251,11 +250,11 @@ def test_pipeline_end_to_end_counts_and_ap():
     # capacity covers the whole recording, so drops cannot occur even when
     # the detector is the slower stage on a loaded machine
     cfg = PipelineConfig(batch_size=1, queue_capacity=128, stub_min_area=20)
-    res = run_pipeline(stream, cfg, gts=[track], threads=2)
+    res = run_pipeline(stream, cfg, threads=2)
     assert res.metrics.frames_produced == n_windows
     assert res.metrics.frames_dropped == 0
     assert res.metrics.frames_inferred == n_windows
-    assert res.eval_report.ap >= 0.9
+    assert evaluate_detections(res.detections, densify_tracks([track])).ap >= 0.9
 
 
 def test_pipeline_batch_sizes_do_not_change_detections():
@@ -396,9 +395,9 @@ def test_pipeline_external_detections_replay(tmp_path):
     write_detections_csv(stub_out, str(path))
 
     replay_cfg = PipelineConfig(batch_size=2, queue_capacity=16, detector=str(path))
-    res = run_pipeline(stream, replay_cfg, gts=[track], threads=1)
+    res = run_pipeline(stream, replay_cfg, threads=1)
     assert detection_keys(res.detections) == detection_keys(stub_out)
-    assert res.eval_report.ap >= 0.9
+    assert evaluate_detections(res.detections, densify_tracks([track])).ap >= 0.9
 
 
 def test_pipeline_downscale_halves_frame():
@@ -432,24 +431,6 @@ def test_pipeline_downscale_never_builds_a_full_frame(monkeypatch, threads):
     for g, w in zip(seen, want_frames):
         assert (g.width, g.height, g.t0, g.events) == (w.width, w.height, w.t0, w.events)
         assert np.array_equal(g.pos, w.pos) and np.array_equal(g.neg, w.neg)
-
-
-def test_pipeline_downscale_scores_in_detector_frame():
-    stream, track, _ = disc_recording(seconds=1.0)
-    cfg = PipelineConfig(downscale_to=(320, 240), stub_min_area=4)
-    res = run_pipeline(stream, cfg, gts=[track], threads=1)
-    assert res.eval_report.ap >= 0.9
-
-
-def test_pipeline_skips_off_sensor_ground_truth():
-    stream, track, _ = disc_recording(seconds=1.0)
-    last = track.keyframes[-1].frame_idx
-    off = Keyframe(last + 1, BBox(5000.0, 5000.0, 20.0, 20.0))
-    gt = Track(track.track_id, track.keyframes + (off,))
-    cfg = PipelineConfig(stub_min_area=20)
-    res = run_pipeline(stream, cfg, calib=identity_pair(), gts=[gt], threads=1)
-    assert res.labels_skipped == 1
-    assert res.eval_report.ap >= 0.9
 
 
 def test_pipeline_metrics_percentiles_present():
